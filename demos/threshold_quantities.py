@@ -59,4 +59,4 @@ for d in np.geomspace(0.2, 12.0, 7):
 threshold = critical_dispersal_rate(K, beta, gamma, bracket=(0.1, 10.0))
 print("\ncritical dispersal rate:", threshold.d_critical)
 print("growth at the root     :", threshold.growth_at_critical)
-print("bisection iterations   :", threshold.iterations)
+print("LAPACK eigensolves     :", threshold.iterations)

@@ -40,7 +40,7 @@ class PreconditionError(NonlocalSISError):
 
 
 class SolverFailure(NonlocalSISError):
-    """Iterative solver did not reach its target accuracy.
+    """Solver did not reach its target accuracy.
 
     Attributes
     ----------

@@ -22,17 +22,12 @@ comments.  Recognized keys (see README for the full reference):
 Reports are JSON with lexicographically ordered keys; everything except
 the ``timing`` object is byte-stable for a fixed (config, seed).  Scenario
 CSVs use comma separators, ``.`` decimals, a header row and LF endings.
-Instance-level work in sweeps and verify suites may run on a small thread
-pool capped by the ``NONLOCAL_SIS_THREADS`` environment variable; results
-are merged in input order either way.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -61,7 +56,7 @@ from .dynamics import (
     write_trajectory_csv,
 )
 from .equilibrium import solve_disease_free, solve_endemic
-from .errors import ConfigError, InvalidBracketError, NonlocalSISError
+from .errors import ConfigError, InvalidBracketError, NonlocalSISError, SolverFailure
 from .operators import assemble_dispersal
 from .spectral import (
     SIGN_DEADBAND,
@@ -82,7 +77,6 @@ __all__ = [
     "write_report",
     "random_instance",
     "run_verify_suite",
-    "worker_count",
 ]
 
 SCENARIOS = ("spectral", "equilibrium", "simulate", "threshold_sweep", "verify")
@@ -93,15 +87,6 @@ _FIELD_KEYS = {
     "bump": ("base", "amp", "center", "width"),
     "table": ("path",),
 }
-
-
-def worker_count() -> int:
-    """Worker cap from NONLOCAL_SIS_THREADS (defaults to 1)."""
-    raw = os.environ.get("NONLOCAL_SIS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -375,7 +360,10 @@ def run_scenario(config: ExperimentConfig) -> RunReport:
                 if "threshold_error" in outputs:
                     errors.append(outputs["threshold_error"])
     except NonlocalSISError as exc:
-        errors.append(f"{type(exc).__name__}: {exc}")
+        message = f"{type(exc).__name__}: {exc}"
+        if isinstance(exc, SolverFailure):
+            message += f" (residual={exc.residual}, iterations={exc.iterations})"
+        errors.append(message)
     status = "ok" if not errors else "error"
     timing = {"seconds": time.perf_counter() - started}
     echo = {k: config.entries[k] for k in sorted(config.entries)}
@@ -466,12 +454,11 @@ def _run_sweep(config: ExperimentConfig, inst: Instance, K) -> dict:
     else:
         raise ConfigError(f"unknown sweep spacing {spacing!r}", key="sweep.spacing")
 
-    def point(d):
+    rows = []
+    for d in rates:
         mu = infection_growth_rate(K, d, inst.gap).value
         r0 = basic_reproduction_number(K, d, inst.beta, inst.gamma).value
-        return {"d_I": float(d), "mu_p": mu, "r0": r0}
-
-    rows = _map_ordered(point, list(rates))
+        rows.append({"d_I": float(d), "mu_p": mu, "r0": r0})
     out = {"rows": rows}
     try:
         threshold = critical_dispersal_rate(K, inst.beta, inst.gamma, (lo, hi))
@@ -480,15 +467,6 @@ def _run_sweep(config: ExperimentConfig, inst: Instance, K) -> dict:
         out["threshold"] = None
         out["threshold_error"] = f"InvalidBracketError: {exc}"
     return out
-
-
-def _map_ordered(fn, items):
-    """Map preserving input order, optionally on a bounded thread pool."""
-    workers = worker_count()
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -556,8 +534,7 @@ def random_instance(rng: np.random.Generator, n_max: int = 64,
                     params=params)
 
 
-def _verify_one(task) -> dict:
-    seed, index, n_max = task
+def _verify_one(seed: int, index: int, n_max: int) -> dict:
     rng = np.random.default_rng([seed, index])
     inst = random_instance(rng, n_max=n_max)
     K = inst.dispersal
@@ -592,8 +569,7 @@ def _verify_one(task) -> dict:
 
 def run_verify_suite(seed: int, instances: int = 200, n_max: int = 64) -> dict:
     """Seeded random-instance property suite; returns stable pass counts."""
-    results = _map_ordered(_verify_one,
-                           [(seed, k, n_max) for k in range(instances)])
+    results = [_verify_one(seed, k, n_max) for k in range(instances)]
     failed = [r for r in results if not r["passed"]]
     by_check: dict = {}
     for r in results:

@@ -4,9 +4,17 @@ Every operator assembled in this package is self-adjoint in the weighted
 inner product of its grid, so the similarity transform
 ``S = D^{1/2} B D^{-1/2}`` with ``D = diag(w)`` produces a genuinely
 symmetric matrix whose extreme eigenvalues are exact maxima/minima of the
-corresponding Rayleigh quotients.  The production eigensolver is iterative
-(Gershgorin-shifted power iteration with a Rayleigh-quotient-iteration
-polish); dense eigendecompositions are reserved for test oracles.
+corresponding Rayleigh quotients.  Each threshold quantity is therefore one
+extreme eigenvalue of a symmetric matrix or of a symmetric-definite pencil,
+computed by a single LAPACK call (``scipy.linalg.eigh`` restricted to one
+index) and checked by its residual:
+
+* growth rate: top eigenvalue of ``S`` for ``d_I (K - Id) + diag(m)``;
+* R0: top eigenvalue of the pencil ``(diag(beta), -S_gamma)``, with
+  ``S_gamma`` the symmetric form of the recovery-damped generator;
+* critical rate ``d*``: top eigenvalue of the pencil
+  ``(diag(beta - gamma), Id - K_sym)``, because ``mu(d) > 0`` exactly when
+  some ``v`` has ``<m v, v> > d <(Id - K) v, v>``.
 
 The basic reproduction number is the spectral radius of the next-generation
 operator: distribute an infection profile through the resolvent of the
@@ -41,7 +49,6 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-10
-BISECTION_TOL = 1e-6
 SIGN_DEADBAND = 1e-8
 
 
@@ -77,132 +84,20 @@ def _orient_sup(v: np.ndarray) -> np.ndarray:
     return v / np.abs(v[k])
 
 
-def _count_eigenvalues_above(S: np.ndarray, sigma: float) -> int:
-    """Number of eigenvalues of a symmetric matrix strictly above sigma,
-    via the inertia of the LDL^T factorization (Sylvester's law)."""
-    n = S.shape[0]
-    _, d, _ = scipy.linalg.ldl(S - sigma * np.eye(n))
-    count = 0
-    i = 0
-    while i < n:
-        if i + 1 < n and (d[i, i + 1] != 0.0 or d[i + 1, i] != 0.0):
-            a, b, c = d[i, i], d[i, i + 1], d[i + 1, i + 1]
-            disc = np.sqrt(0.25 * (a - c) ** 2 + b * b)
-            mid = 0.5 * (a + c)
-            count += int(mid + disc > 0) + int(mid - disc > 0)
-            i += 2
-        else:
-            count += int(d[i, i] > 0)
-            i += 1
-    return count
-
-
-def _symmetric_extreme(S: np.ndarray, tol_residual: float,
-                       power_cap: int = 100_000) -> tuple[float, np.ndarray, int]:
-    """Algebraically largest eigenpair of a symmetric matrix.
-
-    Three safeguarded stages, all iterative:
-
-    1. power iteration on the Gershgorin-shifted positive semidefinite
-       matrix (Rayleigh quotients are certified lower bounds);
-    2. Rayleigh-quotient (inverse) iteration polish, rejecting candidates
-       that fall below the certified bound;
-    3. if an inertia count shows eigenvalues above the polished estimate
-       (the iteration locked onto an interior cluster), bisection on the
-       shift isolates the top of the spectrum and a shifted inverse
-       iteration recovers the eigenvector.
-    """
-    n = S.shape[0]
-    if n == 1:
-        return float(S[0, 0]), np.ones(1), 0
-    radius = np.sum(np.abs(S), axis=1) - np.abs(np.diag(S))
-    upper = float(np.max(np.diag(S) + radius))
-    lower = float(np.min(np.diag(S) - radius))
-    scale = max(1.0, abs(upper), abs(lower))
-    P = S + (scale - lower) * np.eye(n)  # PSD with margin
-    eye = np.eye(n)
-
-    # deterministic start with generic overlap in every eigendirection
-    v = np.random.default_rng(20240601).standard_normal(n)
-    v /= np.linalg.norm(v)
-    theta = float(v @ S @ v)
-    best_bound = theta  # any Rayleigh quotient is a lower bound
-    iterations = 0
-    coarse = max(tol_residual, 1e-7 * scale)
-    for iterations in range(1, min(300, power_cap) + 1):
-        v = P @ v
-        v /= np.linalg.norm(v)
-        theta = float(v @ S @ v)
-        best_bound = max(best_bound, theta)
-        if np.linalg.norm(S @ v - theta * v) <= coarse:
-            break
-
-    target = max(tol_residual * 1e-2, 5e-16 * scale * np.sqrt(n))
-    for _ in range(15):
-        res = float(np.linalg.norm(S @ v - theta * v))
-        if res <= target:
-            break
-        try:
-            y = np.linalg.solve(S - theta * eye, v)
-        except np.linalg.LinAlgError:
-            # theta is (numerically) an exact eigenvalue; nudge and retry
-            y = np.linalg.solve(S - (theta + 1e-12 * scale) * eye, v)
-        y /= np.linalg.norm(y)
-        cand = float(y @ S @ y)
-        iterations += 1
-        if cand < best_bound - 1e-9 * scale:
-            break  # locked onto an interior eigenvalue: escalate below
-        v, theta = y, cand
-        best_bound = max(best_bound, theta)
-
-    # certificate: converged, and nothing lives above the estimate
-    res = float(np.linalg.norm(S @ v - theta * v))
-    slack = max(1e-10 * scale, 3.0 * res)
-    if res > target or _count_eigenvalues_above(S, theta + slack) > 0:
-        theta, v, extra = _sliced_top(S, best_bound, upper, scale)
-        iterations += extra
-    return theta, v, iterations
-
-
-def _sliced_top(S: np.ndarray, lo: float, hi: float,
-                scale: float) -> tuple[float, np.ndarray, int]:
-    """Isolate the largest eigenvalue by inertia bisection, then recover
-    the eigenvector with a shifted inverse iteration from just above it."""
-    n = S.shape[0]
-    eye = np.eye(n)
-    iterations = 0
-    hi = hi + 1e-8 * scale
-    while hi - lo > 1e-13 * scale and iterations < 200:
-        mid = 0.5 * (lo + hi)
-        if _count_eigenvalues_above(S, mid) >= 1:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
-
-    sigma = hi + 1e-11 * scale  # certified above the top eigenvalue
-    v = np.random.default_rng(20240602).standard_normal(n)
-    v /= np.linalg.norm(v)
-    theta = float(v @ S @ v)
-    for _ in range(100):
-        try:
-            y = np.linalg.solve(sigma * eye - S, v)
-        except np.linalg.LinAlgError:
-            sigma += 1e-10 * scale
-            continue
-        v = y / np.linalg.norm(y)
-        theta = float(v @ S @ v)
-        iterations += 1
-        if np.linalg.norm(S @ v - theta * v) <= 1e-13 * scale:
-            break
-    return theta, v, iterations
-
-
 def _symmetrize(B: ReactionDispersalOperator) -> tuple[np.ndarray, np.ndarray]:
     sqrt_w = np.sqrt(B.weights)
     S = (sqrt_w[:, None] * B.matrix) / sqrt_w[None, :]
     S = 0.5 * (S + S.T)  # scrub roundoff asymmetry
     return S, sqrt_w
+
+
+def _eigh_at(a: np.ndarray, k: int,
+             b: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """Eigenpair ``k`` (ascending order) of the symmetric matrix ``a``, or of
+    the symmetric-definite pencil ``(a, b)``; both arrays are overwritten."""
+    vals, vecs = scipy.linalg.eigh(a, b, subset_by_index=[k, k],
+                                   overwrite_a=True, overwrite_b=True)
+    return float(vals[0]), vecs[:, 0]
 
 
 def extreme_eigenpair(B: ReactionDispersalOperator, which: str = "largest",
@@ -215,16 +110,14 @@ def extreme_eigenpair(B: ReactionDispersalOperator, which: str = "largest",
     if which not in ("largest", "smallest"):
         raise ValueError(f"which must be 'largest' or 'smallest', got {which!r}")
     S, sqrt_w = _symmetrize(B)
-    sign = 1.0 if which == "largest" else -1.0
-    theta, y, iterations = _symmetric_extreme(sign * S, tol_residual)
-    value = sign * theta
+    value, y = _eigh_at(S, B.n - 1 if which == "largest" else 0)
     v = _orient_sup(y / sqrt_w)
     residual = float(np.max(np.abs(B.matrix @ v - value * v)))
     if residual > tol_residual:
         raise SolverFailure(
             f"eigenpair residual {residual:.3e} above tolerance {tol_residual:.1e}",
-            residual=residual, iterations=iterations)
-    return Eigenpair(value=value, vector=v, residual=residual, iterations=iterations)
+            residual=residual, iterations=1)
+    return Eigenpair(value=value, vector=v, residual=residual, iterations=1)
 
 
 def dispersal_principal_eigenpair(K: DispersalMatrix,
@@ -260,63 +153,36 @@ def recovery_spectral_bound(K: DispersalMatrix, d_I: float, gamma,
 
 
 def basic_reproduction_number(K: DispersalMatrix, d_I: float, beta, gamma,
-                              tol_residual: float = RESIDUAL_TOL,
-                              power_cap: int = 100_000) -> R0Result:
-    """Spectral radius of the next-generation operator.
+                              tol_residual: float = RESIDUAL_TOL) -> R0Result:
+    """Spectral radius of the next-generation operator
+    ``diag(beta) (-A)^{-1}`` with ``A = d_I (K - Id) - diag(gamma)``.
 
-    One power step distributes the current infection profile through the
-    resolvent of the recovery-damped generator (one direct solve with a
-    cached Cholesky factor) and multiplies by the transmission rate.  The
-    operator is similar to a symmetric positive one, so the iteration is
-    polished with Rayleigh quotient iteration on the explicitly transformed
-    matrix when the plain power phase converges slowly.
+    An eigenpair ``(R0, u)`` corresponds to ``phi = (-A)^{-1} u / R0`` with
+    ``beta phi = R0 (-A) phi``: the top eigenvalue of the symmetric-definite
+    pencil ``(diag(beta), -S)`` in weighted coordinates.  The returned
+    infection profile ``u = beta phi`` has sup-norm 1, and the residual is
+    ``|u - R0 (-A) phi|_inf``.
     """
     beta_v, gamma_v = _field_values(beta), _field_values(gamma)
     A = assemble_reaction_operator(K, d_I, -gamma_v)
     S, sqrt_w = _symmetrize(A)  # symmetric form of the damped generator
-    neg = -S
     try:
-        chol = scipy.linalg.cho_factor(neg)
+        value, y = _eigh_at(np.diag(beta_v), K.n - 1, -S)
     except np.linalg.LinAlgError:
         bound = recovery_spectral_bound(K, d_I, gamma_v)
         raise PreconditionError(
             f"damped generator has nonnegative spectral bound ({bound:.3e}); "
             "the next-generation operator is undefined") from None
-
-    sqrt_b = np.sqrt(beta_v)
-
-    def step(y: np.ndarray) -> np.ndarray:
-        return sqrt_b * scipy.linalg.cho_solve(chol, sqrt_b * y)
-
-    scale = float(np.max(beta_v) / max(np.min(gamma_v), 1e-300))
-    y = np.ones(K.n) / np.sqrt(K.n)
-    theta = 0.0
-    iterations = 0
-    for iterations in range(1, power_cap + 1):
-        z = step(y)
-        nz = np.linalg.norm(z)
-        if not np.isfinite(nz) or nz == 0.0:
-            raise SolverFailure("power iteration collapsed", iterations=iterations)
-        y = z / nz
-        theta = float(y @ step(y))
-        res = np.linalg.norm(step(y) - theta * y)
-        if res <= max(tol_residual * 1e-2, 1e-14 * scale):
-            break
-        if iterations == 2000:
-            # Slow separation: assemble the symmetric form once and polish.
-            M = sqrt_b[:, None] * scipy.linalg.cho_solve(chol, np.diag(sqrt_b))
-            M = 0.5 * (M + M.T)
-            theta, y, extra = _symmetric_extreme(M, tol_residual * 1e-2)
-            iterations += extra
-            break
-    else:
-        raise SolverFailure("power iteration stagnated", residual=float(res),
-                            iterations=iterations)
-
-    residual = float(np.linalg.norm(step(y) - theta * y))
-    # Map the symmetrized direction back to a node field.
-    v = _orient_sup((sqrt_b / sqrt_w) * y)
-    return R0Result(value=theta, vector=v, residual=residual, iterations=iterations)
+    phi = y / sqrt_w
+    u = beta_v * phi
+    scale = 1.0 / u[np.argmax(np.abs(u))]  # sup-norm 1, dominant entry positive
+    u, phi = scale * u, scale * phi
+    residual = float(np.max(np.abs(u + value * (A.matrix @ phi))))
+    if not residual <= tol_residual:  # NaN when beta vanishes identically
+        raise SolverFailure(
+            f"R0 residual {residual:.3e} above tolerance {tol_residual:.1e}",
+            residual=residual, iterations=1)
+    return R0Result(value=value, vector=u, residual=residual, iterations=1)
 
 
 @dataclass(frozen=True)
@@ -339,60 +205,36 @@ class ThresholdResult:
 
 
 def critical_dispersal_rate(K: DispersalMatrix, beta, gamma,
-                            bracket: tuple[float, float],
-                            tol: float = BISECTION_TOL,
-                            max_expand: int = 60,
-                            max_iter: int = 400) -> ThresholdResult:
-    """Bisection root of ``d -> growth_rate(d, beta - gamma)``.
+                            bracket: tuple[float, float]) -> ThresholdResult:
+    """Root ``d*`` of ``d -> growth_rate(d, beta - gamma)``.
 
-    The growth rate is strictly decreasing in the dispersal rate and tends
-    to minus infinity, so the upper end of the bracket is expanded
-    geometrically until the sign flips.  Tolerance is on the growth rate
-    (the quantity whose sign decides the regime), not on ``d``.
+    The growth rate is positive exactly when some ``v`` has
+    ``<m v, v> > d <(Id - K) v, v>``, so ``d*`` is the top eigenvalue of the
+    pencil ``(diag(m), Id - K)`` in weighted coordinates.  The returned
+    bracket keeps ``lo`` and doubles ``hi`` until it exceeds ``d*``.
     """
     m = _field_values(beta) - _field_values(gamma)
     lo, hi = bracket
     if not (0 < lo < hi):
         raise InvalidBracketError(f"need 0 < lo < hi, got ({lo}, {hi})")
 
-    def mu(d: float) -> float:
-        return infection_growth_rate(K, d, m).value
-
-    mu_lo = mu(lo)
-    if mu_lo <= 0:
+    S, _ = _symmetrize(assemble_reaction_operator(K, 1.0, np.zeros(K.n)))
+    try:
+        d_star, _ = _eigh_at(np.diag(m), K.n - 1, -S)
+    except np.linalg.LinAlgError:
+        raise PreconditionError(
+            "Id - K is not positive definite: the dispersal operator "
+            "is not dissipative") from None
+    if d_star <= lo:
         raise InvalidBracketError(
-            f"growth rate at lo={lo} is {mu_lo:.3e}, not positive: no threshold "
-            "bracketed (low-risk instances have negative growth at every rate)")
-    mu_hi = mu(hi)
-    expansions = 0
-    while mu_hi >= 0 and expansions < max_expand:
+            f"critical rate {d_star:.6e} is not above lo={lo}: growth rate at lo "
+            "is not positive (no threshold exists at all when beta - gamma <= 0 "
+            "everywhere)")
+    while hi <= d_star:
         hi *= 2.0
-        mu_hi = mu(hi)
-        expansions += 1
-    if mu_hi >= 0:
-        raise InvalidBracketError(
-            f"growth rate still positive at hi={hi}; no sign change found")
-
-    valid = (lo, hi)
-    iterations = 0
-    mid, mu_mid = lo, mu_lo
-    while iterations < max_iter:
-        mid = 0.5 * (lo + hi)
-        mu_mid = mu(mid)
-        iterations += 1
-        if abs(mu_mid) <= tol:
-            break
-        if mu_mid > 0:
-            lo = mid
-        else:
-            hi = mid
-    else:
-        raise SolverFailure(
-            f"bisection did not reach |growth| <= {tol} in {max_iter} iterations",
-            residual=abs(mu_mid), iterations=iterations)
-
-    return ThresholdResult(d_critical=mid, bracket=valid,
-                           iterations=iterations, growth_at_critical=mu_mid)
+    return ThresholdResult(
+        d_critical=d_star, bracket=(lo, hi), iterations=1,
+        growth_at_critical=infection_growth_rate(K, d_star, m).value)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from nonlocal_sis import ConfigError, parse_config, run_scenario, write_report
+from nonlocal_sis import (
+    ConfigError,
+    SolverFailure,
+    parse_config,
+    run_scenario,
+    write_report,
+)
 from nonlocal_sis.cli import main as cli_main
 from nonlocal_sis.experiments import load_config, run_verify_suite
 
@@ -149,6 +155,20 @@ sweep.count = 4
         assert not report.ok
         assert any("dirichlet_leakage" in e for e in report.errors)
 
+    def test_solver_failure_diagnostics_in_errors(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise SolverFailure("monotone iteration hit the iteration cap",
+                                residual=0.25, iterations=7)
+
+        monkeypatch.setattr("nonlocal_sis.experiments.solve_endemic", fail)
+        text = SPECTRAL_CONFIG.replace("scenario = spectral",
+                                       "scenario = equilibrium")
+        report = run_scenario(parse_config(text))
+        assert not report.ok
+        assert report.errors == [
+            "SolverFailure: monotone iteration hit the iteration cap "
+            "(residual=0.25, iterations=7)"]
+
     def test_verify_scenario_small(self):
         text = "scenario = verify\nseed = 7\nverify.instances = 8\n"
         report = run_scenario(parse_config(text))
@@ -247,23 +267,6 @@ class TestCli:
     def test_missing_config_file(self, tmp_path):
         code = cli_main(["--config", str(tmp_path / "nope.cfg")])
         assert code == 2
-
-
-def test_worker_count_env(monkeypatch):
-    from nonlocal_sis.experiments import worker_count
-    monkeypatch.delenv("NONLOCAL_SIS_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("NONLOCAL_SIS_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("NONLOCAL_SIS_THREADS", "junk")
-    assert worker_count() == 1
-
-
-def test_threaded_verify_matches_serial(monkeypatch):
-    serial = run_verify_suite(seed=5, instances=6)
-    monkeypatch.setenv("NONLOCAL_SIS_THREADS", "3")
-    threaded = run_verify_suite(seed=5, instances=6)
-    assert serial == threaded
 
 
 def test_load_config_resolves_tables_relative_to_file(tmp_path):

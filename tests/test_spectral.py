@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from nonlocal_sis import (
+    DispersalMatrix,
     DomainSpec,
     InvalidBracketError,
     KernelSpec,
+    PreconditionError,
     SolverFailure,
     assemble_dispersal,
     assemble_reaction_operator,
@@ -196,11 +198,12 @@ class TestBasicReproductionNumber:
                                       np.full(2, -1.0))
 
     def test_stagnation_reported(self, two_cell_K):
-        # spatially varying transmission keeps the start vector off the
-        # principal direction, so two power steps cannot converge
-        with pytest.raises(SolverFailure):
+        # spatially varying transmission leaves a roundoff residual that no
+        # double-precision eigensolve can push below 1e-300
+        with pytest.raises(SolverFailure) as info:
             basic_reproduction_number(two_cell_K, 1.0, np.array([2.0, 3.0]),
-                                      np.full(2, 0.5), power_cap=2)
+                                      np.full(2, 0.5), tol_residual=1e-300)
+        assert info.value.residual is not None
 
 
 class TestCriticalDispersalRate:
@@ -221,6 +224,39 @@ class TestCriticalDispersalRate:
         with pytest.raises(InvalidBracketError):
             critical_dispersal_rate(two_cell_K, np.full(2, 0.4),
                                     np.full(2, 0.5), bracket=(0.1, 10.0))
+
+    def test_lo_above_root_rejected(self, two_cell_K):
+        # the root is 3, so growth at lo=4 is already negative
+        with pytest.raises(InvalidBracketError):
+            critical_dispersal_rate(two_cell_K, np.full(2, 2.0),
+                                    np.full(2, 0.5), bracket=(4.0, 10.0))
+
+    def test_non_dissipative_dispersal_rejected(self, two_cell_K):
+        # row mass 1.3 makes Id - K indefinite, so no critical rate exists
+        K = DispersalMatrix(entries=[[0.8, 0.5], [0.5, 0.8]],
+                            grid=two_cell_K.grid)
+        with pytest.raises(PreconditionError):
+            critical_dispersal_rate(K, np.full(2, 2.0), np.full(2, 0.5),
+                                    bracket=(0.1, 10.0))
+
+    def test_dense_oracle_root(self):
+        # oracle: np.linalg.eigh of the symmetrized d (K - Id) + diag(m)
+        def mu(inst, d):
+            w = np.sqrt(inst.grid.weights)
+            K = inst.dispersal.entries
+            B = d * (K - np.eye(inst.grid.n)) + np.diag(inst.gap)
+            S = w[:, None] * B / w[None, :]
+            return np.linalg.eigh(0.5 * (S + S.T))[0][-1]
+
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            inst = random_instance(rng, n_max=48, risk="high")
+            res = critical_dispersal_rate(inst.dispersal, inst.beta, inst.gamma,
+                                          bracket=(1e-3, 1.0))
+            d = res.d_critical
+            assert abs(mu(inst, d)) <= 1e-9
+            assert mu(inst, d * (1 - 1e-6)) > 0 > mu(inst, d * (1 + 1e-6))
+            assert res.bracket[0] == 1e-3 and res.bracket[1] > d
 
     def test_threshold_separates_regimes(self, two_cell_K):
         beta, gamma = np.full(2, 2.0), np.full(2, 0.5)
