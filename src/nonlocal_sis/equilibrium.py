@@ -1,10 +1,12 @@
 """Stationary states: disease-free, endemic, and nonlocal logistic.
 
-The disease-free profile solves a linear balance and is computed twice
-(direct solve and Picard contraction) as a built-in consistency check.
+The disease-free profile solves a linear balance by one direct solve,
+certified by a compensated residual that does not share the solve's BLAS
+path.
 
-The endemic state and the logistic stationary state are produced by the
-classical two-sided monotone scheme: iterate ``u <- u + F(u)/rho`` with a
+The endemic state and the logistic stationary state differ only in their
+reaction term, relaxation constant and bracket; one driver solves both by
+the classical two-sided monotone scheme: iterate ``u <- u + F(u)/rho`` with a
 relaxation constant ``rho`` large enough that the map is order-preserving
 on the bracket, once upward from a small multiple of the principal
 eigenvector (a subsolution) and once downward from an explicit
@@ -54,14 +56,11 @@ def _field_values(f) -> np.ndarray:
 
 def _fresh_residual(K: DispersalMatrix, d: float, u: np.ndarray,
                     reaction: np.ndarray) -> float:
-    """Sup-norm of ``d (K u - u) + reaction`` via explicit compensated
-    summation: an independent code path from the solver's matvecs."""
-    entries = K.entries
-    worst = 0.0
-    for i in range(u.size):
-        gain = math.fsum(entries[i, j] * u[j] for j in range(u.size))
-        worst = max(worst, abs(d * (gain - u[i]) + reaction[i]))
-    return worst
+    """Sup-norm of ``d (K u - u) + reaction`` with each gain ``(K u)_i`` a
+    correctly rounded ``math.fsum`` of its row's products: an independent
+    code path from the solver's BLAS matvecs."""
+    gain = np.array([math.fsum(row * u) for row in K.entries])
+    return float(np.max(np.abs(d * (gain - u) + reaction)))
 
 
 @dataclass(frozen=True)
@@ -113,62 +112,70 @@ def solve_disease_free(K: DispersalMatrix, d_S: float, lam) -> EquilibriumResult
     """Stationary susceptible profile with recruitment and no infection.
 
     Solves the linear balance (dispersal gain + recruitment = full-mass
-    loss) by a direct solve of ``(Id - K) u = lam / d_S`` and independently
-    by Picard iteration on the fixed point ``u = K u + lam / d_S`` (a
-    contraction because the dispersal matrix loses mass through the
-    boundary).  The two routes must agree to 1e-8.
+    loss) ``(Id - K) u = lam / d_S`` by one direct solve, certified by the
+    compensated residual of ``d_S (K u - u) + lam``, which does not share
+    the solve's BLAS path; a residual above 1e-8 raises
+    ``SolverInconsistency``.  The bracket is ``[eps, big] * phi`` with
+    ``phi`` the principal eigenvector of the pure dispersal operator.
     """
     lam_v = _field_values(lam)
-    n = K.n
-    rhs = lam_v / d_S
-    direct = np.linalg.solve(np.eye(n) - K.entries, rhs)
+    u = np.linalg.solve(np.eye(K.n) - K.entries, lam_v / d_S)
+    residual = _fresh_residual(K, d_S, u, lam_v)
+    if residual > AGREEMENT_TOL:
+        raise SolverInconsistency(
+            f"direct disease-free solve leaves residual {residual:.3e}")
 
     lam1 = dispersal_principal_eigenpair(K)
-    # contraction factor of the Picard map is the spectral radius of K;
-    # the fixed-point error is bounded by the step times this amplification
-    amplify = (1.0 - lam1.value) / lam1.value
-    u = np.zeros(n)
-    iterations = 0
-    for iterations in range(1, 5 * ITERATION_CAP + 1):
-        nxt = K.entries @ u + rhs
-        step = float(np.max(np.abs(nxt - u)))
-        u = nxt
-        if amplify * step <= 1e-9:
-            break
-    else:
-        raise SolverFailure("Picard iteration for the disease-free state stalled",
-                            iterations=iterations)
-
-    gap = float(np.max(np.abs(direct - u)))
-    if gap > AGREEMENT_TOL:
-        raise SolverInconsistency(
-            f"direct and Picard disease-free solutions disagree by {gap:.3e}")
-
     phi = lam1.vector  # positive, sup-norm 1
     eps = 0.5 * float(np.min(lam_v)) / (lam1.value * d_S)
     big = 1.0 + float(np.max(lam_v)) / (lam1.value * d_S * float(np.min(phi)))
-    residual = _fresh_residual(K, d_S, direct, lam_v)
-    return EquilibriumResult(field=direct, residual=residual,
-                             iterations=iterations,
+    return EquilibriumResult(field=u, residual=residual, iterations=1,
                              bracket_low=eps * phi, bracket_high=big * phi,
                              converged_from="both")
 
 
-def _monotone_bisolve(F: Callable[[np.ndarray], np.ndarray], sub: np.ndarray,
-                      sup: np.ndarray, rho: float) -> tuple:
-    """Run the relaxed fixed-point map upward from ``sub`` and downward
-    from ``sup``; returns both limits with diagnostics.
+def _subsolution_scale(F: Callable[[np.ndarray], np.ndarray], psi: np.ndarray,
+                       cap: float) -> float:
+    """Halve a starting amplitude until ``F(eps * psi) >= 0`` at every node.
 
-    Iterates are clamped to the bracket (a no-op in exact arithmetic) and
-    clamp events are counted.  ``monotone_defect`` records the largest
-    movement against the expected direction, which should be at roundoff
-    level for a valid relaxation constant.
+    On failure the error carries the largest violation ``-min F`` at the
+    last amplitude tried.
     """
+    eps = cap
+    for halvings in range(1, 201):
+        values = F(eps * psi)
+        if np.all(values >= 0.0):
+            return eps
+        eps *= 0.5
+    raise SolverFailure("no valid subsolution amplitude found by halving",
+                        residual=float(-np.min(values)), iterations=halvings)
+
+
+def _two_sided_solve(K: DispersalMatrix, d: float,
+                     reaction: Callable[[np.ndarray], np.ndarray], rho: float,
+                     high: np.ndarray, psi: np.ndarray,
+                     cap: float) -> tuple[EquilibriumResult, float]:
+    """Positive root of ``F(u) = d (K u - u) + reaction(u)`` in the bracket
+    ``[eps * psi, high]``; returns the midpoint of the two limits and their
+    gap.
+
+    ``eps <= cap`` is the largest halving of ``cap`` that makes ``eps * psi``
+    a subsolution.  The relaxed map ``u <- u + F(u)/rho`` runs upward from
+    it and downward from the supersolution ``high``.  Iterates are clamped
+    to the bracket (a no-op in exact arithmetic) and clamp events are
+    counted.  ``monotone_defect`` records the largest movement against the
+    expected direction, which should be at roundoff level for a valid
+    relaxation constant.
+    """
+    def F(u: np.ndarray) -> np.ndarray:
+        return d * (K.entries @ u - u) + reaction(u)
+
+    sub = _subsolution_scale(F, psi, cap) * psi
     clamp_events = 0
     monotone_defect = 0.0
     limits: list[np.ndarray] = []
     total_iters = 0
-    for start, direction in ((sub, +1.0), (sup, -1.0)):
+    for start, direction in ((sub, +1.0), (high, -1.0)):
         u = start.astype(float).copy()
         iterations = 0
         residual = float(np.max(np.abs(F(u))))
@@ -181,7 +188,7 @@ def _monotone_bisolve(F: Callable[[np.ndarray], np.ndarray], sub: np.ndarray,
             moved = nxt - u
             monotone_defect = max(monotone_defect,
                                   float(np.max(-direction * moved, initial=0.0)))
-            clipped = np.clip(nxt, sub if direction > 0 else None, sup)
+            clipped = np.clip(nxt, sub if direction > 0 else None, high)
             clipped = np.maximum(clipped, 0.0)
             clamp_events += int(np.sum(clipped != nxt))
             step = float(np.max(np.abs(clipped - u)))
@@ -194,21 +201,22 @@ def _monotone_bisolve(F: Callable[[np.ndarray], np.ndarray], sub: np.ndarray,
                     residual=residual, iterations=iterations)
         limits.append(u)
         total_iters += iterations
-    if np.any(limits[0] > limits[1] + 1e-12):
+    up, down = limits
+    if np.any(up > down + 1e-12):
         raise UniquenessViolation(
             "upward limit crossed above the downward limit")
-    return limits[0], limits[1], total_iters, clamp_events, monotone_defect
+    gap = float(np.max(np.abs(down - up)))
+    if gap > AGREEMENT_TOL:
+        raise UniquenessViolation(
+            f"monotone limits from below and above disagree by {gap:.3e}")
 
-
-def _subsolution_scale(F: Callable[[np.ndarray], np.ndarray], psi: np.ndarray,
-                       cap: float) -> float:
-    """Halve a starting amplitude until ``F(eps * psi) >= 0`` at every node."""
-    eps = cap
-    for _ in range(200):
-        if np.all(F(eps * psi) >= 0.0):
-            return eps
-        eps *= 0.5
-    raise SolverFailure("no valid subsolution amplitude found by halving")
+    u = 0.5 * (up + down)
+    result = EquilibriumResult(
+        field=u, residual=_fresh_residual(K, d, u, reaction(u)),
+        iterations=total_iters, bracket_low=sub, bracket_high=high,
+        converged_from="both", clamp_events=clamp_events,
+        monotone_defect=monotone_defect)
+    return result, gap
 
 
 def solve_endemic(K: DispersalMatrix, params: ModelParams, beta, gamma,
@@ -237,13 +245,12 @@ def solve_endemic(K: DispersalMatrix, params: ModelParams, beta, gamma,
     high = (d_s / d_i) * dfe
     denom_floor = d_s * dfe * min(1.0, d_s / d_i)
 
-    def F(I: np.ndarray) -> np.ndarray:
+    def reaction(I: np.ndarray) -> np.ndarray:
         denom = d_s * dfe + (d_s - d_i) * I
         if np.any(denom <= 0.0):
             raise BracketBreach("denominator of the infection pressure became "
                                 "nonpositive inside the bracket")
-        reaction = (m - d_s * beta_v * I / denom) * I
-        return d_i * (K.entries @ I - I) + reaction
+        return (m - d_s * beta_v * I / denom) * I
 
     # Relaxation constant: d_I plus a bound for the reaction slope on the
     # bracket, derived from the quotient-rule derivative of the pressure.
@@ -251,24 +258,15 @@ def solve_endemic(K: DispersalMatrix, params: ModelParams, beta, gamma,
         2.0 * d_s * dfe + abs(d_s - d_i) * high) / denom_floor**2
     rho = 1.1 * (d_i + float(np.max(slope)))
 
-    eps = _subsolution_scale(F, growth.vector, 0.1 * float(np.min(high)))
-    sub = eps * growth.vector
-    up, down, iterations, clamps, defect = _monotone_bisolve(F, sub, high, rho)
-
-    gap = float(np.max(np.abs(down - up)))
-    if gap > AGREEMENT_TOL:
-        raise UniquenessViolation(
-            f"monotone limits from below and above disagree by {gap:.3e}")
-
-    infected = 0.5 * (up + down)
+    res, gap = _two_sided_solve(K, d_i, reaction, rho, high, growth.vector,
+                                0.1 * float(np.min(high)))
+    infected = res.field
     susceptible = (d_s * dfe - d_i * infected) / d_s
-    denom = d_s * dfe + (d_s - d_i) * infected
-    reaction = (m - d_s * beta_v * infected / denom) * infected
-    residual = _fresh_residual(K, d_i, infected, reaction)
     return EndemicPair(susceptible=susceptible, infected=infected,
-                       disease_free=dfe, residual=residual,
-                       iterations=iterations, bracket_gap=gap,
-                       clamp_events=clamps, monotone_defect=defect)
+                       disease_free=dfe, residual=res.residual,
+                       iterations=res.iterations, bracket_gap=gap,
+                       clamp_events=res.clamp_events,
+                       monotone_defect=res.monotone_defect)
 
 
 def solve_logistic_stationary(K: DispersalMatrix, d: float, b, a) -> EquilibriumResult:
@@ -290,30 +288,12 @@ def solve_logistic_stationary(K: DispersalMatrix, d: float, b, a) -> Equilibrium
             "only the trivial state exists")
 
     high_const = float(np.max(b_v)) / float(np.min(a_v))
-    high = np.full(K.n, high_const)
-
-    def F(u: np.ndarray) -> np.ndarray:
-        return d * (K.entries @ u - u) + b_v * u - a_v * u * u
-
     slope = np.maximum(np.abs(b_v), np.abs(2.0 * a_v * high_const - b_v))
     rho = 1.1 * (d + float(np.max(slope)))
-
     cap = min(0.1 * high_const, growth.value / (2.0 * float(np.max(a_v))))
-    eps = _subsolution_scale(F, growth.vector, cap)
-    sub = eps * growth.vector
-    up, down, iterations, clamps, defect = _monotone_bisolve(F, sub, high, rho)
-
-    gap = float(np.max(np.abs(down - up)))
-    if gap > AGREEMENT_TOL:
-        raise UniquenessViolation(
-            f"monotone limits from below and above disagree by {gap:.3e}")
-
-    u = 0.5 * (up + down)
-    residual = _fresh_residual(K, d, u, b_v * u - a_v * u * u)
-    return EquilibriumResult(field=u, residual=residual, iterations=iterations,
-                             bracket_low=sub, bracket_high=high,
-                             converged_from="both", clamp_events=clamps,
-                             monotone_defect=defect)
+    res, _ = _two_sided_solve(K, d, lambda u: b_v * u - a_v * u * u, rho,
+                              np.full(K.n, high_const), growth.vector, cap)
+    return res
 
 
 def write_field_csv(nodes: np.ndarray, values: np.ndarray, path) -> None:

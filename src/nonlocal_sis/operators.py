@@ -80,32 +80,19 @@ def apply_dispersal(d: float, K: DispersalMatrix, u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ReactionDispersalOperator:
-    """Dense operator ``B = d (K - Id) + diag(c)`` with its assembly data.
-
-    Keeping ``d`` and ``c`` alongside the matrix makes rescaling and
-    re-assembly trivial bookkeeping.
-    """
+    """Dense operator ``B = d (K - Id) + diag(c)`` with the quadrature
+    weights in which it is self-adjoint."""
 
     matrix: np.ndarray
-    dispersal_rate: float
-    reaction: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _readonly(self.matrix))
-        object.__setattr__(self, "reaction", _readonly(self.reaction))
         object.__setattr__(self, "weights", _readonly(self.weights))
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.n,):
-            raise InvalidArgumentError(
-                f"field length {u.shape} does not match n={self.n}")
-        return self.matrix @ u
 
 
 def assemble_reaction_operator(K: DispersalMatrix, d: float,
@@ -117,8 +104,7 @@ def assemble_reaction_operator(K: DispersalMatrix, d: float,
     if d <= 0:
         raise InvalidArgumentError(f"dispersal rate must be positive, got {d}")
     matrix = d * (K.entries - np.eye(K.n)) + np.diag(c)
-    return ReactionDispersalOperator(matrix=matrix, dispersal_rate=d,
-                                     reaction=c, weights=K.grid.weights)
+    return ReactionDispersalOperator(matrix=matrix, weights=K.grid.weights)
 
 
 def weighted_form(weights: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:

@@ -1,3 +1,6 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,10 @@ from nonlocal_sis import (
     ModelParams,
     NoEndemicState,
     NoPositiveState,
+    SolverFailure,
+    SolverInconsistency,
+    UniquenessViolation,
+    equilibrium,
     solve_disease_free,
     solve_endemic,
     solve_logistic_stationary,
@@ -41,6 +48,67 @@ class TestDiseaseFree:
             assert np.all(res.bracket_low <= res.field + 1e-12)
             assert np.all(res.field <= res.bracket_high + 1e-12)
             assert res.residual <= 1e-8
+
+
+    def test_corrupted_direct_solve_is_caught(self, two_cell_K, monkeypatch):
+        fake_np = SimpleNamespace(**vars(np))
+        fake_np.linalg = SimpleNamespace(
+            solve=lambda a, b: np.linalg.solve(a, b) + 1e-6)
+        monkeypatch.setattr(equilibrium, "np", fake_np)
+        with pytest.raises(SolverInconsistency):
+            solve_disease_free(two_cell_K, 1.0, np.ones(2))
+
+
+def _double_loop_residual(K, d, u, reaction):
+    """Reference for ``_fresh_residual``: one ``math.fsum`` per entry pair."""
+    entries = K.entries
+    worst = 0.0
+    for i in range(u.size):
+        gain = math.fsum(entries[i, j] * u[j] for j in range(u.size))
+        worst = max(worst, abs(d * (gain - u[i]) + reaction[i]))
+    return worst
+
+
+def test_fresh_residual_matches_double_loop():
+    rng = np.random.default_rng(34)
+    for _ in range(12):
+        inst = random_instance(rng, n_max=48)
+        K = inst.dispersal
+        u = rng.uniform(0.1, 3.0, K.n)
+        reaction = rng.normal(size=K.n)
+        d = inst.params.d_S
+        assert (equilibrium._fresh_residual(K, d, u, reaction)
+                == _double_loop_residual(K, d, u, reaction))
+
+
+class TestTwoSidedDriver:
+    def test_disagreeing_limits_raise(self, two_cell_K):
+        # on constants the two-cell dispersal is -0.5 u, so the constant
+        # states solve -u (u - 1)(u - 2)(u - 3) = 0: the upward iteration
+        # stops at 1 and the downward one at 3
+        def reaction(u):
+            return 0.5 * u - u * (u - 1.0) * (u - 2.0) * (u - 3.0)
+
+        with pytest.raises(UniquenessViolation, match="disagree"):
+            equilibrium._two_sided_solve(two_cell_K, 1.0, reaction, 60.0,
+                                         np.full(2, 4.0), np.ones(2), 0.5)
+
+    def test_no_subsolution_reports_diagnostics(self, endemic_setup,
+                                                monkeypatch):
+        # a growth eigenvector of the wrong sign makes every amplitude
+        # fail the subsolution test
+        grid, K, beta, gamma, lam, params = endemic_setup
+        true_growth = equilibrium.infection_growth_rate
+
+        def flipped(*args):
+            pair = true_growth(*args)
+            return SimpleNamespace(value=pair.value, vector=-pair.vector)
+
+        monkeypatch.setattr(equilibrium, "infection_growth_rate", flipped)
+        with pytest.raises(SolverFailure, match="subsolution") as info:
+            solve_endemic(K, params, beta, gamma, np.full(2, 2.0))
+        assert info.value.iterations == 200
+        assert info.value.residual is not None and info.value.residual > 0
 
 
 class TestEndemic:

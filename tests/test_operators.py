@@ -119,7 +119,7 @@ class TestReactionOperator:
             K = inst.dispersal
             d = inst.params.d_I
             B = assemble_reaction_operator(K, d, inst.gap)
-            rebuilt = B.matrix - np.diag(B.reaction) + B.dispersal_rate * np.eye(K.n)
+            rebuilt = B.matrix - np.diag(inst.gap) + d * np.eye(K.n)
             np.testing.assert_allclose(rebuilt, d * K.entries, rtol=0,
                                        atol=1e-13 * max(1.0, d))
 
