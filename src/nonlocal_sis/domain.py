@@ -182,7 +182,18 @@ def kernel_total_mass(spec: KernelSpec, points: int = 10001) -> float:
 
 
 def kernel_mass_profile(grid: Grid, spec: KernelSpec) -> np.ndarray:
-    """In-domain kernel mass at every node: ``sum_j w_j J(x_i - x_j)``."""
+    """In-domain kernel mass at every node: ``sum_j w_j J(x_i - x_j)``.
+
+    Where the dispersal matrix is matrix-free these are its row masses,
+    prefix sums of its first column; no n x n array is formed.
+    """
+    # deferred: operators imports this module
+    from .operators import TOEPLITZ_MIN_N, assemble_dispersal
+
+    if grid.n >= TOEPLITZ_MIN_N:
+        K = assemble_dispersal(grid, spec)
+        if K.matrix_free:
+            return K.row_masses()
     diff = grid.nodes[:, None] - grid.nodes[None, :]
     return kernel_value(spec, diff) @ grid.weights
 

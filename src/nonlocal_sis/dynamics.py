@@ -124,9 +124,10 @@ def rhs(state: State, params, K: DispersalMatrix, beta, gamma, lam,
     """Right-hand side of the epidemic system at a nonnegative state."""
     if np.any(state.S < 0) or np.any(state.I < 0):
         raise InvalidStateError("state has negative components")
-    return _rhs_raw(state.S, state.I, params.d_S, params.d_I, K.entries,
-                    _field_values(beta), _field_values(gamma),
-                    _field_values(lam), positivity_floor)
+    dS, dI = _rhs_raw(np.stack([state.S, state.I]), params.d_S, params.d_I, K,
+                      _field_values(beta), _field_values(gamma),
+                      _field_values(lam), positivity_floor)
+    return dS, dI
 
 
 def _infection_pressure(S, I, beta, floor):
@@ -135,11 +136,14 @@ def _infection_pressure(S, I, beta, floor):
     return np.where(total > floor, beta * S * I / safe, 0.0)
 
 
-def _rhs_raw(S, I, d_s, d_i, K, beta, gamma, lam, floor):
+def _rhs_raw(y, d_s, d_i, K, beta, gamma, lam, floor):
+    """Right-hand side for the stacked state ``y = (S, I)``, stacked."""
+    S, I = y
+    KS, KI = K.matvec(y)
     infect = _infection_pressure(S, I, beta, floor)
-    dS = d_s * (K @ S - S) + lam - infect + gamma * I
-    dI = d_i * (K @ I - I) + infect - gamma * I
-    return dS, dI
+    dS = d_s * (KS - S) + lam - infect + gamma * I
+    dI = d_i * (KI - I) + infect - gamma * I
+    return np.stack([dS, dI])
 
 
 def _step(y: np.ndarray, t: float, dt: float, f, method: str) -> np.ndarray:
@@ -194,13 +198,11 @@ def integrate(state0: State, config: IntegratorConfig, params, K: DispersalMatri
     lam_v = _field_values(lam)
     _check_budget(config, max(params.d_S, params.d_I),
                   float(beta_v.max()), float(gamma_v.max()))
-    n = K.n
     floor = config.positivity_floor
 
     def f(y, t):
-        dS, dI = _rhs_raw(y[0], y[1], params.d_S, params.d_I, K.entries,
-                          beta_v, gamma_v, lam_v, floor)
-        return np.vstack([dS, dI])
+        return _rhs_raw(y, params.d_S, params.d_I, K, beta_v, gamma_v, lam_v,
+                        floor)
 
     times, snaps, norm_i, norm_s = [], [], [], []
 
@@ -253,7 +255,7 @@ def integrate_linear_infection(w0: np.ndarray, config: IntegratorConfig,
     m = beta_v - gamma_v
 
     def f(y, t):
-        return d_I * (K.entries @ y - y) + m * y
+        return d_I * (K.matvec(y) - y) + m * y
 
     return _integrate_field(w0, config, f, None)
 
@@ -270,7 +272,7 @@ def integrate_total_population(v0: np.ndarray, config: IntegratorConfig,
     _check_budget(config, d, 0.0, 0.0)
 
     def f(y, t):
-        return d * (K.entries @ y - y) + lam_v
+        return d * (K.matvec(y) - y) + lam_v
 
     return _integrate_field(v0, config, f, target)
 
@@ -288,7 +290,7 @@ def integrate_logistic(u0: np.ndarray, config: IntegratorConfig, d: float,
                   float(np.max(a_v)) * u_cap)
 
     def f(y, t):
-        return d * (K.entries @ y - y) + b_v * y - a_v * y * y
+        return d * (K.matvec(y) - y) + b_v * y - a_v * y * y
 
     return _integrate_field(u0, config, f, None)
 

@@ -1,8 +1,9 @@
 """Stationary states: disease-free, endemic, and nonlocal logistic.
 
-The disease-free profile solves a linear balance by one direct solve,
-certified by a compensated residual that does not share the solve's BLAS
-path.
+The disease-free profile solves a linear balance by one direct solve
+(dense LU, or Levinson's recursion on the Toeplitz column when K is
+matrix-free), certified by a compensated residual that does not share the
+solve's path.
 
 The endemic state and the logistic stationary state differ only in their
 reaction term, relaxation constant and bracket; one driver solves both by
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 
 from .domain import ModelParams
 from .errors import (
@@ -58,8 +60,8 @@ def _fresh_residual(K: DispersalMatrix, d: float, u: np.ndarray,
                     reaction: np.ndarray) -> float:
     """Sup-norm of ``d (K u - u) + reaction`` with each gain ``(K u)_i`` a
     correctly rounded ``math.fsum`` of its row's products: an independent
-    code path from the solver's BLAS matvecs."""
-    gain = np.array([math.fsum(row * u) for row in K.entries])
+    code path from the solver's BLAS or FFT matvecs."""
+    gain = np.array([math.fsum(row * u) for row in K.rows()])
     return float(np.max(np.abs(d * (gain - u) + reaction)))
 
 
@@ -112,14 +114,21 @@ def solve_disease_free(K: DispersalMatrix, d_S: float, lam) -> EquilibriumResult
     """Stationary susceptible profile with recruitment and no infection.
 
     Solves the linear balance (dispersal gain + recruitment = full-mass
-    loss) ``(Id - K) u = lam / d_S`` by one direct solve, certified by the
-    compensated residual of ``d_S (K u - u) + lam``, which does not share
-    the solve's BLAS path; a residual above 1e-8 raises
-    ``SolverInconsistency``.  The bracket is ``[eps, big] * phi`` with
-    ``phi`` the principal eigenvector of the pure dispersal operator.
+    loss) ``(Id - K) u = lam / d_S`` by one direct solve (Levinson's
+    recursion on the symmetric Toeplitz column of ``Id - K`` when K is
+    matrix-free, dense LU otherwise), certified by the compensated residual
+    of ``d_S (K u - u) + lam``, which does not share the solve's path; a
+    residual above 1e-8 raises ``SolverInconsistency``.  The bracket is
+    ``[eps, big] * phi`` with ``phi`` the principal eigenvector of the pure
+    dispersal operator.
     """
     lam_v = _field_values(lam)
-    u = np.linalg.solve(np.eye(K.n) - K.entries, lam_v / d_S)
+    if K.matrix_free:
+        column = -K.column
+        column[0] += 1.0
+        u = scipy.linalg.solve_toeplitz(column, lam_v / d_S)
+    else:
+        u = np.linalg.solve(np.eye(K.n) - K.entries, lam_v / d_S)
     residual = _fresh_residual(K, d_S, u, lam_v)
     if residual > AGREEMENT_TOL:
         raise SolverInconsistency(
@@ -168,7 +177,7 @@ def _two_sided_solve(K: DispersalMatrix, d: float,
     relaxation constant.
     """
     def F(u: np.ndarray) -> np.ndarray:
-        return d * (K.entries @ u - u) + reaction(u)
+        return d * (K.matvec(u) - u) + reaction(u)
 
     sub = _subsolution_scale(F, psi, cap) * psi
     clamp_events = 0

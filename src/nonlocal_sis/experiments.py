@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +58,7 @@ from .dynamics import (
 )
 from .equilibrium import solve_disease_free, solve_endemic
 from .errors import ConfigError, InvalidBracketError, NonlocalSISError, SolverFailure
-from .operators import assemble_dispersal
+from .operators import DispersalMatrix, assemble_dispersal
 from .spectral import (
     SIGN_DEADBAND,
     basic_reproduction_number,
@@ -258,8 +259,8 @@ class Instance:
     lam: CoefficientField
     params: ModelParams
 
-    @property
-    def dispersal(self):
+    @cached_property
+    def dispersal(self) -> DispersalMatrix:
         return assemble_dispersal(self.grid, self.kernel)
 
     @property

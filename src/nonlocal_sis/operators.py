@@ -8,6 +8,11 @@ part strictly dissipative.
 
 All operators are self-adjoint in the weighted inner product
 ``<u, v>_w = sum_i w_i u_i v_i``, the discrete L2 pairing of the grid.
+
+On a grid of equal cells K is symmetric Toeplitz.  From
+``TOEPLITZ_MIN_N`` nodes on, its products go through an FFT and the
+spectral and equilibrium layers use solvers that need only those products
+or the first column, so no n x n array is formed.
 """
 
 from __future__ import annotations
@@ -27,7 +32,17 @@ __all__ = [
     "assemble_reaction_operator",
     "weighted_form",
     "dump_matrix_csv",
+    "TOEPLITZ_MIN_N",
 ]
+
+# Smallest grid on which K is applied by FFT instead of as a dense matrix.
+# Measured with OPENBLAS_NUM_THREADS=1 on a 2-core Xeon VM (triangle kernel,
+# h=0.25 on [0, 1]), dense / matrix-free:
+#   K u for a (2, n) stack   n=384: 0.05 / 0.10 ms   n=512: 0.16 / 0.07 ms
+#   growth rate              n=384:  8.7 /  2.6 ms   n=512:   25 /  1.8 ms
+#   disease-free state       n=384:   20 /   15 ms   n=512:   39 /   16 ms
+# RK4 is most of a simulation, so the product sets the crossover.
+TOEPLITZ_MIN_N = 512
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -36,37 +51,134 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
 class DispersalMatrix:
     """Quadrature matrix ``K[i, j] = w_j J(x_i - x_j)``.
 
     Row sums equal the in-domain kernel mass at each node; the weighted
     symmetry ``w_i K[i, j] == w_j K[j, i]`` holds exactly because both
     sides are the same product of reals.
+
+    On a grid of equal cells K is symmetric Toeplitz.  A matrix given by
+    its first ``column`` keeps only that; its dense ``entries`` are formed
+    on first access and cached.  ``matvec`` multiplies such a matrix by
+    the dense entries below ``TOEPLITZ_MIN_N`` nodes and through a
+    circulant embedding of the column (one real FFT pair) at or above it.
+    A matrix given by its ``entries`` is always applied densely.
     """
 
-    entries: np.ndarray
-    grid: Grid
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _readonly(self.entries))
-        n = self.grid.n
-        if self.entries.shape != (n, n):
+    def __init__(self, entries=None, grid: Grid | None = None, *, column=None):
+        if grid is None or (entries is None) == (column is None):
+            raise InvalidArgumentError("need a grid and exactly one of entries, column")
+        self.grid = grid
+        self._fft = None  # see _fft_plan
+        if column is None:
+            self.column, self._entries = None, _readonly(entries)
+            shape, expected = self._entries.shape, (grid.n, grid.n)
+        else:
+            self.column, self._entries = _readonly(column), None
+            shape, expected = self.column.shape, (grid.n,)
+        if shape != expected:
             raise InvalidArgumentError(
-                f"matrix shape {self.entries.shape} does not match grid n={n}")
+                f"matrix shape {shape} does not match grid n={grid.n}")
+        # whether products, eigensolves and solves use the Toeplitz structure
+        self.matrix_free = column is not None and grid.n >= TOEPLITZ_MIN_N
 
     @property
     def n(self) -> int:
         return self.grid.n
 
+    @property
+    def entries(self) -> np.ndarray:
+        if self._entries is None:
+            dense = np.empty((self.n, self.n))
+            dense[...] = self._toeplitz_view()
+            dense.flags.writeable = False
+            self._entries = dense
+        return self._entries
+
+    def _toeplitz_view(self) -> np.ndarray:
+        """K as a read-only n x n view of one length ``2n - 1`` array."""
+        mirrored = np.concatenate([self.column[:0:-1], self.column])
+        return np.lib.stride_tricks.sliding_window_view(mirrored, self.n)[::-1]
+
+    def rows(self):
+        """The rows of K in order; from the column they are views of one
+        length ``2n - 1`` array, so no n x n array is formed."""
+        return iter(self.entries if self.column is None else self._toeplitz_view())
+
+    def matvec(self, u: np.ndarray) -> np.ndarray:
+        """``K u`` for a float node field, or for each row of a stack of
+        fields.
+
+        The FFT product keeps two exact properties of ``K u`` that its
+        round-off (about 1e-17 of ``max |u|``) would break: it is 0 at every
+        node whose kernel band holds no nonzero of ``u``, and, since
+        K >= 0 entrywise, it is nonnegative when ``u`` is.
+        """
+        if not self.matrix_free:
+            if u.ndim == 1:
+                return self.entries @ u
+            # one matrix-vector product per field: the same bits as a
+            # single field, which a matrix-matrix product does not give
+            return np.stack([self.entries @ field for field in u])
+        from scipy import fft  # imported on the large-grid path only
+
+        m, spectrum, lo, hi = self._fft_plan()
+        out = fft.irfft(spectrum * fft.rfft(u, m), m)[..., :self.n]
+        if not u.all():
+            nonzeros = np.zeros(u.shape[:-1] + (self.n + 1,))
+            np.cumsum(u != 0.0, axis=-1, out=nonzeros[..., 1:])
+            out[nonzeros[..., hi] == nonzeros[..., lo]] = 0.0
+        nonneg = u.min(axis=-1, keepdims=True) >= 0.0
+        return np.maximum(out, 0.0, out=out, where=nonneg)
+
+    def _fft_plan(self) -> tuple:
+        """Embedding length, spectrum and band limits, built on first use.
+
+        K is the leading n x n block of a symmetric circulant of length
+        ``m >= 2n - 1`` (Chan & Ng, SIAM Review 38, 1996), whose spectrum
+        is real.  Row ``i`` of K is zero outside columns ``lo[i]:hi[i]``.
+        """
+        if self._fft is None:
+            from scipy import fft
+
+            n = self.n
+            m = fft.next_fast_len(2 * n - 1, real=True)
+            embedding = np.zeros(m)
+            embedding[:n] = self.column
+            embedding[m - n + 1:] = self.column[:0:-1]
+            band = int(np.flatnonzero(self.column)[-1]) if self.column.any() else 0
+            nodes = np.arange(n)
+            self._fft = (m, fft.rfft(embedding).real, np.maximum(nodes - band, 0),
+                         np.minimum(nodes + band, n - 1) + 1)
+        return self._fft
+
     def row_masses(self) -> np.ndarray:
-        return self.entries.sum(axis=1)
+        if not self.matrix_free:
+            return self.entries.sum(axis=1)
+        # row i holds column[0..i] and column[1..n-1-i]
+        prefix = np.cumsum(self.column)
+        return prefix + prefix[::-1] - self.column[0]
 
 
 def assemble_dispersal(grid: Grid, kernel: KernelSpec) -> DispersalMatrix:
-    """Assemble the dispersal gain matrix for a grid/kernel pair."""
-    diff = grid.nodes[:, None] - grid.nodes[None, :]
-    entries = kernel_value(kernel, diff) * grid.weights[None, :]
+    """Assemble the dispersal gain matrix for a grid/kernel pair.
+
+    From ``TOEPLITZ_MIN_N`` nodes on a grid of equal cells (as every
+    ``build_grid`` grid has) this evaluates the kernel once per node, for
+    the first column ``w J(x_i - x_0)``.  Smaller or unequal grids get the
+    dense pairwise matrix.  Building small grids from the column as well
+    would move results in the last bits, and its different order of n x n
+    allocations measured 8-10% slower on n=256 sweeps (page faults as the
+    heap grew and shrank).
+    """
+    w, nodes = grid.weights, grid.nodes
+    if (grid.n >= TOEPLITZ_MIN_N and np.all(w == w[0])
+            and np.allclose(np.diff(nodes), w[0], rtol=1e-9, atol=0.0)):
+        column = kernel_value(kernel, nodes - nodes[0]) * w
+        return DispersalMatrix(grid=grid, column=column)
+    diff = nodes[:, None] - nodes[None, :]
+    entries = kernel_value(kernel, diff) * w[None, :]
     return DispersalMatrix(entries=entries, grid=grid)
 
 
@@ -75,7 +187,7 @@ def apply_dispersal(d: float, K: DispersalMatrix, u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.shape != (K.n,):
         raise InvalidArgumentError(f"field length {u.shape} does not match n={K.n}")
-    return d * (K.entries @ u - u)
+    return d * (K.matvec(u) - u)
 
 
 @dataclass(frozen=True)
@@ -95,14 +207,20 @@ class ReactionDispersalOperator:
         return self.matrix.shape[0]
 
 
-def assemble_reaction_operator(K: DispersalMatrix, d: float,
-                               c: np.ndarray) -> ReactionDispersalOperator:
-    """Assemble ``d (K - Id) + diag(c)`` for a node field ``c``."""
+def _reaction_field(K: DispersalMatrix, d: float, c) -> np.ndarray:
+    """Check the rate and the reaction field of ``d (K - Id) + diag(c)``."""
     c = np.asarray(c, dtype=float)
     if c.shape != (K.n,):
         raise InvalidArgumentError(f"reaction length {c.shape} does not match n={K.n}")
     if d <= 0:
         raise InvalidArgumentError(f"dispersal rate must be positive, got {d}")
+    return c
+
+
+def assemble_reaction_operator(K: DispersalMatrix, d: float,
+                               c: np.ndarray) -> ReactionDispersalOperator:
+    """Assemble ``d (K - Id) + diag(c)`` for a node field ``c``."""
+    c = _reaction_field(K, d, c)
     matrix = d * (K.entries - np.eye(K.n)) + np.diag(c)
     return ReactionDispersalOperator(matrix=matrix, weights=K.grid.weights)
 

@@ -16,6 +16,11 @@ index) and checked by its residual:
   ``(diag(beta - gamma), Id - K_sym)``, because ``mu(d) > 0`` exactly when
   some ``v`` has ``<m v, v> > d <(Id - K) v, v>``.
 
+When K is matrix-free (``TOEPLITZ_MIN_N`` nodes or more on equal cells)
+the growth rate and the principal dispersal eigenpair come from
+implicitly restarted Lanczos (ARPACK ``eigsh``) on the FFT product
+instead, with the same residual check; R0 and ``d*`` stay dense pencils.
+
 The basic reproduction number is the spectral radius of the next-generation
 operator: distribute an infection profile through the resolvent of the
 recovery-damped dispersal generator, then multiply by the transmission
@@ -32,7 +37,12 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InvalidBracketError, PreconditionError, SolverFailure
-from .operators import DispersalMatrix, ReactionDispersalOperator, assemble_reaction_operator
+from .operators import (
+    DispersalMatrix,
+    ReactionDispersalOperator,
+    _reaction_field,
+    assemble_reaction_operator,
+)
 
 __all__ = [
     "Eigenpair",
@@ -100,6 +110,15 @@ def _eigh_at(a: np.ndarray, k: int,
     return float(vals[0]), vecs[:, 0]
 
 
+def _checked_pair(value: float, v: np.ndarray, residual: float, iterations: int,
+                  tol_residual: float) -> Eigenpair:
+    if residual > tol_residual:
+        raise SolverFailure(
+            f"eigenpair residual {residual:.3e} above tolerance {tol_residual:.1e}",
+            residual=residual, iterations=iterations)
+    return Eigenpair(value=value, vector=v, residual=residual, iterations=iterations)
+
+
 def extreme_eigenpair(B: ReactionDispersalOperator, which: str = "largest",
                       tol_residual: float = RESIDUAL_TOL) -> Eigenpair:
     """Extreme eigenpair of a weighted-self-adjoint operator.
@@ -113,11 +132,53 @@ def extreme_eigenpair(B: ReactionDispersalOperator, which: str = "largest",
     value, y = _eigh_at(S, B.n - 1 if which == "largest" else 0)
     v = _orient_sup(y / sqrt_w)
     residual = float(np.max(np.abs(B.matrix @ v - value * v)))
-    if residual > tol_residual:
-        raise SolverFailure(
-            f"eigenpair residual {residual:.3e} above tolerance {tol_residual:.1e}",
-            residual=residual, iterations=1)
-    return Eigenpair(value=value, vector=v, residual=residual, iterations=1)
+    return _checked_pair(value, v, residual, 1, tol_residual)
+
+
+def _lanczos_top(K: DispersalMatrix, d: float, c: np.ndarray,
+                 tol_residual: float) -> Eigenpair:
+    """Top eigenpair of ``d (K - Id) + diag(c)`` from its products alone.
+
+    On equal cells the weights are equal, so the operator is symmetric as
+    it stands.  ARPACK starts from the constant field, not a random one,
+    so repeated runs give the same bits.  ``iterations`` counts operator
+    applications.
+    """
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
+    def B(v: np.ndarray) -> np.ndarray:
+        return d * (K.matvec(v) - v) + c * v
+
+    def residual_of(value: float, v: np.ndarray) -> float:
+        return float(np.max(np.abs(B(v) - value * v)))
+
+    applied = 0
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        nonlocal applied
+        applied += 1
+        return B(v.reshape(-1))
+
+    op = LinearOperator((K.n, K.n), matvec=apply, dtype=float)
+    try:
+        vals, vecs = eigsh(op, k=1, which="LA", tol=0, v0=np.ones(K.n))
+    except ArpackNoConvergence as exc:
+        residual = (residual_of(float(exc.eigenvalues[0]), exc.eigenvectors[:, 0])
+                    if len(exc.eigenvalues) else None)
+        raise SolverFailure(f"Lanczos did not converge after {applied} "
+                            "operator applications",
+                            residual=residual, iterations=applied) from None
+    value, v = float(vals[0]), _orient_sup(vecs[:, 0])
+    return _checked_pair(value, v, residual_of(value, v), applied, tol_residual)
+
+
+def _top_pair(K: DispersalMatrix, d: float, c, tol_residual: float) -> Eigenpair:
+    """Top eigenpair of ``d (K - Id) + diag(c)``: Lanczos when K is
+    matrix-free, one dense LAPACK eigensolve otherwise."""
+    if K.matrix_free:
+        return _lanczos_top(K, d, _reaction_field(K, d, c), tol_residual)
+    return extreme_eigenpair(assemble_reaction_operator(K, d, c), "largest",
+                             tol_residual)
 
 
 def dispersal_principal_eigenpair(K: DispersalMatrix,
@@ -127,8 +188,7 @@ def dispersal_principal_eigenpair(K: DispersalMatrix,
     Returns the smallest eigenvalue of ``Id - K`` (a decay rate in (0, 1))
     together with its positive eigenfunction.
     """
-    B = assemble_reaction_operator(K, 1.0, np.zeros(K.n))  # K - Id
-    top = extreme_eigenpair(B, "largest", tol_residual)
+    top = _top_pair(K, 1.0, np.zeros(K.n), tol_residual)  # K - Id
     return Eigenpair(value=-top.value, vector=top.vector,
                      residual=top.residual, iterations=top.iterations)
 
@@ -141,8 +201,7 @@ def infection_growth_rate(K: DispersalMatrix, d_I: float, m,
     This is the exact discrete maximum of the associated Rayleigh form;
     its sign decides extinction versus persistence.
     """
-    B = assemble_reaction_operator(K, d_I, _field_values(m))
-    return extreme_eigenpair(B, "largest", tol_residual)
+    return _top_pair(K, d_I, _field_values(m), tol_residual)
 
 
 def recovery_spectral_bound(K: DispersalMatrix, d_I: float, gamma,
