@@ -81,12 +81,8 @@ from .experiments import (
 )
 from .operators import (
     DispersalMatrix,
-    ReactionDispersalOperator,
     apply_dispersal,
     assemble_dispersal,
-    assemble_reaction_operator,
-    dump_matrix_csv,
-    weighted_form,
 )
 from .spectral import (
     Eigenpair,

@@ -49,6 +49,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _field_values(f) -> np.ndarray:
+    """Accept a CoefficientField or a bare array (probing invalid data)."""
+    return np.asarray(getattr(f, "values", f), dtype=float)
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     """Interval habitat (left, right)."""
@@ -182,20 +187,12 @@ def kernel_total_mass(spec: KernelSpec, points: int = 10001) -> float:
 
 
 def kernel_mass_profile(grid: Grid, spec: KernelSpec) -> np.ndarray:
-    """In-domain kernel mass at every node: ``sum_j w_j J(x_i - x_j)``.
+    """In-domain kernel mass at every node: ``sum_j w_j J(x_i - x_j)``, the
+    row masses of the dispersal matrix (prefix sums of its first column
+    where it is matrix-free, so no n x n array is formed there)."""
+    from .operators import assemble_dispersal  # deferred: operators imports domain
 
-    Where the dispersal matrix is matrix-free these are its row masses,
-    prefix sums of its first column; no n x n array is formed.
-    """
-    # deferred: operators imports this module
-    from .operators import TOEPLITZ_MIN_N, assemble_dispersal
-
-    if grid.n >= TOEPLITZ_MIN_N:
-        K = assemble_dispersal(grid, spec)
-        if K.matrix_free:
-            return K.row_masses()
-    diff = grid.nodes[:, None] - grid.nodes[None, :]
-    return kernel_value(spec, diff) @ grid.weights
+    return assemble_dispersal(grid, spec).row_masses()
 
 
 def kernel_mass_in_domain(grid: Grid, spec: KernelSpec, i: int) -> float:
@@ -327,11 +324,6 @@ class ValidationReport:
         }
 
 
-def _values(f) -> np.ndarray:
-    """Accept a CoefficientField or a bare array (probing invalid data)."""
-    return np.asarray(getattr(f, "values", f), dtype=float)
-
-
 def validate_instance(grid: Grid, kernel: KernelSpec, beta, gamma, lam,
                       params) -> ValidationReport:
     """Check the standing assumptions; failures land in the report, they
@@ -340,7 +332,8 @@ def validate_instance(grid: Grid, kernel: KernelSpec, beta, gamma, lam,
     Bare arrays and (d_S, d_I) tuples are accepted so that deliberately
     broken data can be probed.
     """
-    beta_v, gamma_v, lam_v = _values(beta), _values(gamma), _values(lam)
+    beta_v, gamma_v, lam_v = (_field_values(beta), _field_values(gamma),
+                              _field_values(lam))
     if isinstance(params, ModelParams):
         d_s, d_i = params.d_S, params.d_I
     else:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import _field_values
 from .errors import (
     IntegrationFailure,
     InvalidArgumentError,
@@ -46,10 +47,6 @@ __all__ = [
 
 STABILITY_BUDGET = 0.5
 NEGATIVE_TOL = 1e-12
-
-
-def _field_values(f) -> np.ndarray:
-    return np.asarray(getattr(f, "values", f), dtype=float)
 
 
 @dataclass

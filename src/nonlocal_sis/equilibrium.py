@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .domain import ModelParams
+from .domain import ModelParams, _field_values
 from .errors import (
     BracketBreach,
     NoEndemicState,
@@ -50,10 +50,6 @@ RESIDUAL_TARGET = 1e-11
 STALL_STEP = 1e-14
 ITERATION_CAP = 100_000
 GROWTH_ZERO = 1e-10
-
-
-def _field_values(f) -> np.ndarray:
-    return np.asarray(getattr(f, "values", f), dtype=float)
 
 
 def _fresh_residual(K: DispersalMatrix, d: float, u: np.ndarray,

@@ -1,4 +1,4 @@
-"""Discrete dispersal matrix and reaction-dispersal operators.
+"""Discrete dispersal matrix.
 
 The hostile exterior is realized by extension with zero: the gain term
 ``(K u)_i = sum_j w_j J(x_i - x_j) u_j`` only collects mass from inside the
@@ -6,8 +6,10 @@ domain, while the loss term ``-u_i`` spends the kernel's full unit mass.
 Mass jumping outside is simply lost, which is what makes the pure dispersal
 part strictly dissipative.
 
-All operators are self-adjoint in the weighted inner product
-``<u, v>_w = sum_i w_i u_i v_i``, the discrete L2 pairing of the grid.
+K, and with it every generator ``d (K - Id) + diag(c)`` whose extreme
+eigenvalues the spectral layer computes, is self-adjoint in the weighted
+inner product ``<u, v>_w = sum_i w_i u_i v_i``, the discrete L2 pairing of
+the grid.
 
 On a grid of equal cells K is symmetric Toeplitz.  From
 ``TOEPLITZ_MIN_N`` nodes on, its products go through an FFT and the
@@ -17,21 +19,15 @@ or the first column, so no n x n array is formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .domain import Grid, KernelSpec, kernel_value
+from .domain import Grid, KernelSpec, _readonly, kernel_value
 from .errors import InvalidArgumentError
 
 __all__ = [
     "DispersalMatrix",
-    "ReactionDispersalOperator",
     "assemble_dispersal",
     "apply_dispersal",
-    "assemble_reaction_operator",
-    "weighted_form",
-    "dump_matrix_csv",
     "TOEPLITZ_MIN_N",
 ]
 
@@ -45,20 +41,14 @@ __all__ = [
 TOEPLITZ_MIN_N = 512
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.asarray(a, dtype=float).copy()
-    out.flags.writeable = False
-    return out
-
-
 class DispersalMatrix:
     """Quadrature matrix ``K[i, j] = w_j J(x_i - x_j)``.
 
-    Row sums equal the in-domain kernel mass at each node; the weighted
-    symmetry ``w_i K[i, j] == w_j K[j, i]`` holds exactly because both
-    sides are the same product of reals.
+    Row sums equal the in-domain kernel mass at each node.  The weighted
+    symmetry ``w_i K[i, j] == w_j K[j, i]`` holds to round-off (the two
+    sides multiply the same three reals in different orders).
 
-    On a grid of equal cells K is symmetric Toeplitz.  A matrix given by
+    On a grid of equal cells K is exactly symmetric Toeplitz.  A matrix given by
     its first ``column`` keeps only that; its dense ``entries`` are formed
     on first access and cached.  ``matvec`` multiplies such a matrix by
     the dense entries below ``TOEPLITZ_MIN_N`` nodes and through a
@@ -189,51 +179,3 @@ def apply_dispersal(d: float, K: DispersalMatrix, u: np.ndarray) -> np.ndarray:
         raise InvalidArgumentError(f"field length {u.shape} does not match n={K.n}")
     return d * (K.matvec(u) - u)
 
-
-@dataclass(frozen=True)
-class ReactionDispersalOperator:
-    """Dense operator ``B = d (K - Id) + diag(c)`` with the quadrature
-    weights in which it is self-adjoint."""
-
-    matrix: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _readonly(self.matrix))
-        object.__setattr__(self, "weights", _readonly(self.weights))
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-
-def _reaction_field(K: DispersalMatrix, d: float, c) -> np.ndarray:
-    """Check the rate and the reaction field of ``d (K - Id) + diag(c)``."""
-    c = np.asarray(c, dtype=float)
-    if c.shape != (K.n,):
-        raise InvalidArgumentError(f"reaction length {c.shape} does not match n={K.n}")
-    if d <= 0:
-        raise InvalidArgumentError(f"dispersal rate must be positive, got {d}")
-    return c
-
-
-def assemble_reaction_operator(K: DispersalMatrix, d: float,
-                               c: np.ndarray) -> ReactionDispersalOperator:
-    """Assemble ``d (K - Id) + diag(c)`` for a node field ``c``."""
-    c = _reaction_field(K, d, c)
-    matrix = d * (K.entries - np.eye(K.n)) + np.diag(c)
-    return ReactionDispersalOperator(matrix=matrix, weights=K.grid.weights)
-
-
-def weighted_form(weights: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
-    """Weighted inner product ``sum_i w_i u_i v_i``."""
-    return float(np.sum(weights * u * v))
-
-
-def dump_matrix_csv(matrix: np.ndarray, path) -> None:
-    """Row-major CSV dump for debugging; not load-bearing."""
-    matrix = np.asarray(matrix, dtype=float)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for row in matrix:
-            f.write(",".join(repr(float(x)) for x in row))
-            f.write("\n")

@@ -1,25 +1,27 @@
 """Threshold quantities: principal eigenvalues, spectral bounds and R0.
 
-Every operator assembled in this package is self-adjoint in the weighted
-inner product of its grid, so the similarity transform
-``S = D^{1/2} B D^{-1/2}`` with ``D = diag(w)`` produces a genuinely
-symmetric matrix whose extreme eigenvalues are exact maxima/minima of the
-corresponding Rayleigh quotients.  Each threshold quantity is therefore one
-extreme eigenvalue of a symmetric matrix or of a symmetric-definite pencil,
-computed by a single LAPACK call (``scipy.linalg.eigh`` restricted to one
-index) and checked by its residual:
+Every threshold quantity is an extreme eigenvalue of one generator
+``d (K - Id) + diag(c)``, which is self-adjoint in the weighted inner
+product of its grid.  With ``D = diag(w)`` the similarity transform
+``Ks = D^{1/2} K D^{-1/2}`` makes K genuinely symmetric (on equal cells K
+already is, and ``Ks`` is K itself), so each quantity is one extreme
+eigenvalue of a symmetric matrix or of a symmetric-definite pencil built
+from ``G = d (Ks - Id) + diag(c)``, computed by a single LAPACK call
+(``scipy.linalg.eigh`` restricted to one index) and checked by its
+residual:
 
-* growth rate: top eigenvalue of ``S`` for ``d_I (K - Id) + diag(m)``;
-* R0: top eigenvalue of the pencil ``(diag(beta), -S_gamma)``, with
-  ``S_gamma`` the symmetric form of the recovery-damped generator;
-* critical rate ``d*``: top eigenvalue of the pencil
-  ``(diag(beta - gamma), Id - K_sym)``, because ``mu(d) > 0`` exactly when
+* growth rate: top eigenvalue of ``G`` for ``d_I`` and ``c = beta - gamma``;
+* R0: top eigenvalue of the pencil ``(diag(beta), -G)`` for ``d_I`` and
+  ``c = -gamma``;
+* critical rate ``d*``: top eigenvalue of the pencil ``(diag(beta - gamma),
+  -G)`` for ``d = 1`` and ``c = 0``, because ``mu(d) > 0`` exactly when
   some ``v`` has ``<m v, v> > d <(Id - K) v, v>``.
 
 When K is matrix-free (``TOEPLITZ_MIN_N`` nodes or more on equal cells)
 the growth rate and the principal dispersal eigenpair come from
 implicitly restarted Lanczos (ARPACK ``eigsh``) on the FFT product
 instead, with the same residual check; R0 and ``d*`` stay dense pencils.
+Every residual is taken with ``K.matvec``, not with the eigensolve's matrix.
 
 The basic reproduction number is the spectral radius of the next-generation
 operator: distribute an infection profile through the resolvent of the
@@ -36,13 +38,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import InvalidBracketError, PreconditionError, SolverFailure
-from .operators import (
-    DispersalMatrix,
-    ReactionDispersalOperator,
-    _reaction_field,
-    assemble_reaction_operator,
+from .domain import _field_values
+from .errors import (
+    InvalidArgumentError,
+    InvalidBracketError,
+    PreconditionError,
+    SolverFailure,
 )
+from .operators import DispersalMatrix
 
 __all__ = [
     "Eigenpair",
@@ -60,10 +63,6 @@ __all__ = [
 
 RESIDUAL_TOL = 1e-10
 SIGN_DEADBAND = 1e-8
-
-
-def _field_values(f) -> np.ndarray:
-    return np.asarray(getattr(f, "values", f), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -94,20 +93,65 @@ def _orient_sup(v: np.ndarray) -> np.ndarray:
     return v / np.abs(v[k])
 
 
-def _symmetrize(B: ReactionDispersalOperator) -> tuple[np.ndarray, np.ndarray]:
-    sqrt_w = np.sqrt(B.weights)
-    S = (sqrt_w[:, None] * B.matrix) / sqrt_w[None, :]
-    S = 0.5 * (S + S.T)  # scrub roundoff asymmetry
-    return S, sqrt_w
+def _reaction_field(K: DispersalMatrix, d: float, c) -> np.ndarray:
+    """Check the rate and the reaction field of ``d (K - Id) + diag(c)``."""
+    c = _field_values(c)
+    if c.shape != (K.n,):
+        raise InvalidArgumentError(f"reaction length {c.shape} does not match n={K.n}")
+    if d <= 0:
+        raise InvalidArgumentError(f"dispersal rate must be positive, got {d}")
+    return c
+
+
+def _symmetric_form(K: DispersalMatrix) -> np.ndarray:
+    """``D^{1/2} K D^{-1/2}``; on equal cells K itself, which is exactly
+    symmetric there because ``x_i - x_j`` is exactly antisymmetric."""
+    w = K.grid.weights
+    if np.all(w == w[0]):
+        return K.entries
+    sqrt_w = np.sqrt(w)
+    Ks = sqrt_w[:, None] * K.entries / sqrt_w[None, :]
+    return 0.5 * (Ks + Ks.T)  # scrub roundoff asymmetry
+
+
+def _generator(K: DispersalMatrix, d: float, c: np.ndarray) -> np.ndarray:
+    """Symmetric form of ``d (K - Id) + diag(c)`` in one fresh array."""
+    G = np.multiply(d, _symmetric_form(K))
+    G.flat[::K.n + 1] += c - d
+    return G
+
+
+def _apply(K: DispersalMatrix, d: float, c: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``d (K v - v) + c v`` in node-field coordinates."""
+    return d * (K.matvec(v) - v) + c * v
+
+
+def _residual(K: DispersalMatrix, d: float, c: np.ndarray, value: float,
+              v: np.ndarray) -> float:
+    return float(np.max(np.abs(_apply(K, d, c, v) - value * v)))
 
 
 def _eigh_at(a: np.ndarray, k: int,
              b: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """Eigenpair ``k`` (ascending order) of the symmetric matrix ``a``, or of
-    the symmetric-definite pencil ``(a, b)``; both arrays are overwritten."""
-    vals, vecs = scipy.linalg.eigh(a, b, subset_by_index=[k, k],
+    the symmetric-definite pencil ``(a, b)``; both arrays are overwritten.
+
+    They go to LAPACK as their transposes, which are the same matrices in
+    Fortran order, so no copy is made.
+    """
+    vals, vecs = scipy.linalg.eigh(a.T, None if b is None else b.T,
+                                   subset_by_index=[k, k],
                                    overwrite_a=True, overwrite_b=True)
     return float(vals[0]), vecs[:, 0]
+
+
+def _pencil_top(top: np.ndarray, K: DispersalMatrix, d: float,
+                c: np.ndarray) -> tuple[float, np.ndarray]:
+    """Top eigenpair of ``(diag(top), -_generator(K, d, c))``, in weighted
+    coordinates; ``LinAlgError`` when ``-G`` is not positive definite."""
+    minus_G = _generator(K, d, c)
+    np.negative(minus_G, out=minus_G)
+    return _eigh_at(np.diag(top), K.n - 1, minus_G)
 
 
 def _checked_pair(value: float, v: np.ndarray, residual: float, iterations: int,
@@ -117,22 +161,6 @@ def _checked_pair(value: float, v: np.ndarray, residual: float, iterations: int,
             f"eigenpair residual {residual:.3e} above tolerance {tol_residual:.1e}",
             residual=residual, iterations=iterations)
     return Eigenpair(value=value, vector=v, residual=residual, iterations=iterations)
-
-
-def extreme_eigenpair(B: ReactionDispersalOperator, which: str = "largest",
-                      tol_residual: float = RESIDUAL_TOL) -> Eigenpair:
-    """Extreme eigenpair of a weighted-self-adjoint operator.
-
-    The eigenvector is returned in node-field coordinates, sup-norm 1 with
-    nonnegative orientation, and satisfies ``|B v - t v|_inf <= tol``.
-    """
-    if which not in ("largest", "smallest"):
-        raise ValueError(f"which must be 'largest' or 'smallest', got {which!r}")
-    S, sqrt_w = _symmetrize(B)
-    value, y = _eigh_at(S, B.n - 1 if which == "largest" else 0)
-    v = _orient_sup(y / sqrt_w)
-    residual = float(np.max(np.abs(B.matrix @ v - value * v)))
-    return _checked_pair(value, v, residual, 1, tol_residual)
 
 
 def _lanczos_top(K: DispersalMatrix, d: float, c: np.ndarray,
@@ -146,39 +174,43 @@ def _lanczos_top(K: DispersalMatrix, d: float, c: np.ndarray,
     """
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-    def B(v: np.ndarray) -> np.ndarray:
-        return d * (K.matvec(v) - v) + c * v
-
-    def residual_of(value: float, v: np.ndarray) -> float:
-        return float(np.max(np.abs(B(v) - value * v)))
-
     applied = 0
 
     def apply(v: np.ndarray) -> np.ndarray:
         nonlocal applied
         applied += 1
-        return B(v.reshape(-1))
+        return _apply(K, d, c, v.reshape(-1))
 
     op = LinearOperator((K.n, K.n), matvec=apply, dtype=float)
     try:
         vals, vecs = eigsh(op, k=1, which="LA", tol=0, v0=np.ones(K.n))
     except ArpackNoConvergence as exc:
-        residual = (residual_of(float(exc.eigenvalues[0]), exc.eigenvectors[:, 0])
+        residual = (_residual(K, d, c, float(exc.eigenvalues[0]),
+                              exc.eigenvectors[:, 0])
                     if len(exc.eigenvalues) else None)
         raise SolverFailure(f"Lanczos did not converge after {applied} "
                             "operator applications",
                             residual=residual, iterations=applied) from None
     value, v = float(vals[0]), _orient_sup(vecs[:, 0])
-    return _checked_pair(value, v, residual_of(value, v), applied, tol_residual)
+    return _checked_pair(value, v, _residual(K, d, c, value, v), applied,
+                         tol_residual)
 
 
-def _top_pair(K: DispersalMatrix, d: float, c, tol_residual: float) -> Eigenpair:
+def extreme_eigenpair(K: DispersalMatrix, d: float, c,
+                      tol_residual: float = RESIDUAL_TOL) -> Eigenpair:
     """Top eigenpair of ``d (K - Id) + diag(c)``: Lanczos when K is
-    matrix-free, one dense LAPACK eigensolve otherwise."""
+    matrix-free, one dense LAPACK eigensolve otherwise.
+
+    The eigenvector is returned in node-field coordinates, sup-norm 1 with
+    nonnegative orientation, and satisfies
+    ``|d (K v - v) + c v - t v|_inf <= tol_residual``.
+    """
+    c = _reaction_field(K, d, c)
     if K.matrix_free:
-        return _lanczos_top(K, d, _reaction_field(K, d, c), tol_residual)
-    return extreme_eigenpair(assemble_reaction_operator(K, d, c), "largest",
-                             tol_residual)
+        return _lanczos_top(K, d, c, tol_residual)
+    value, y = _eigh_at(_generator(K, d, c), K.n - 1)
+    v = _orient_sup(y / np.sqrt(K.grid.weights))
+    return _checked_pair(value, v, _residual(K, d, c, value, v), 1, tol_residual)
 
 
 def dispersal_principal_eigenpair(K: DispersalMatrix,
@@ -188,7 +220,7 @@ def dispersal_principal_eigenpair(K: DispersalMatrix,
     Returns the smallest eigenvalue of ``Id - K`` (a decay rate in (0, 1))
     together with its positive eigenfunction.
     """
-    top = _top_pair(K, 1.0, np.zeros(K.n), tol_residual)  # K - Id
+    top = extreme_eigenpair(K, 1.0, np.zeros(K.n), tol_residual)  # K - Id
     return Eigenpair(value=-top.value, vector=top.vector,
                      residual=top.residual, iterations=top.iterations)
 
@@ -201,7 +233,7 @@ def infection_growth_rate(K: DispersalMatrix, d_I: float, m,
     This is the exact discrete maximum of the associated Rayleigh form;
     its sign decides extinction versus persistence.
     """
-    return _top_pair(K, d_I, _field_values(m), tol_residual)
+    return extreme_eigenpair(K, d_I, m, tol_residual)
 
 
 def recovery_spectral_bound(K: DispersalMatrix, d_I: float, gamma,
@@ -218,25 +250,24 @@ def basic_reproduction_number(K: DispersalMatrix, d_I: float, beta, gamma,
 
     An eigenpair ``(R0, u)`` corresponds to ``phi = (-A)^{-1} u / R0`` with
     ``beta phi = R0 (-A) phi``: the top eigenvalue of the symmetric-definite
-    pencil ``(diag(beta), -S)`` in weighted coordinates.  The returned
+    pencil ``(diag(beta), -A)`` in weighted coordinates.  The returned
     infection profile ``u = beta phi`` has sup-norm 1, and the residual is
     ``|u - R0 (-A) phi|_inf``.
     """
     beta_v, gamma_v = _field_values(beta), _field_values(gamma)
-    A = assemble_reaction_operator(K, d_I, -gamma_v)
-    S, sqrt_w = _symmetrize(A)  # symmetric form of the damped generator
+    c = _reaction_field(K, d_I, -gamma_v)  # A = d_I (K - Id) + diag(c)
     try:
-        value, y = _eigh_at(np.diag(beta_v), K.n - 1, -S)
+        value, y = _pencil_top(beta_v, K, d_I, c)
     except np.linalg.LinAlgError:
         bound = recovery_spectral_bound(K, d_I, gamma_v)
         raise PreconditionError(
             f"damped generator has nonnegative spectral bound ({bound:.3e}); "
             "the next-generation operator is undefined") from None
-    phi = y / sqrt_w
+    phi = y / np.sqrt(K.grid.weights)
     u = beta_v * phi
     scale = 1.0 / u[np.argmax(np.abs(u))]  # sup-norm 1, dominant entry positive
     u, phi = scale * u, scale * phi
-    residual = float(np.max(np.abs(u + value * (A.matrix @ phi))))
+    residual = float(np.max(np.abs(u + value * _apply(K, d_I, c, phi))))
     if not residual <= tol_residual:  # NaN when beta vanishes identically
         raise SolverFailure(
             f"R0 residual {residual:.3e} above tolerance {tol_residual:.1e}",
@@ -277,9 +308,8 @@ def critical_dispersal_rate(K: DispersalMatrix, beta, gamma,
     if not (0 < lo < hi):
         raise InvalidBracketError(f"need 0 < lo < hi, got ({lo}, {hi})")
 
-    S, _ = _symmetrize(assemble_reaction_operator(K, 1.0, np.zeros(K.n)))
     try:
-        d_star, _ = _eigh_at(np.diag(m), K.n - 1, -S)
+        d_star, _ = _pencil_top(m, K, 1.0, np.zeros(K.n))  # Id - K
     except np.linalg.LinAlgError:
         raise PreconditionError(
             "Id - K is not positive definite: the dispersal operator "

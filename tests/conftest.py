@@ -4,6 +4,7 @@ import pytest
 from nonlocal_sis import (
     CoefficientField,
     DomainSpec,
+    Grid,
     KernelSpec,
     ModelParams,
     assemble_dispersal,
@@ -27,6 +28,16 @@ def two_cell():
 def two_cell_K(two_cell):
     grid, kernel = two_cell
     return assemble_dispersal(grid, kernel)
+
+
+@pytest.fixture
+def graded_grid():
+    """40 midpoint cells on [0, 1] whose widths grow from about 0.006 to
+    0.035 (edges ``t**1.4``): a grid of unequal cells, below the size at
+    which K is matrix-free."""
+    edges = np.linspace(0.0, 1.0, 41) ** 1.4
+    return Grid(nodes=0.5 * (edges[1:] + edges[:-1]), weights=np.diff(edges),
+                domain=DomainSpec(0.0, 1.0))
 
 
 def const_field(grid, value, role=""):

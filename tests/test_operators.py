@@ -7,9 +7,8 @@ from nonlocal_sis import (
     KernelSpec,
     apply_dispersal,
     assemble_dispersal,
-    assemble_reaction_operator,
     build_grid,
-    dump_matrix_csv,
+    extreme_eigenpair,
     kernel_mass_profile,
 )
 from nonlocal_sis.experiments import random_instance
@@ -90,48 +89,61 @@ class TestApplyDispersal:
 
 
 class TestReactionOperator:
+    """``d (K - Id) + diag(c)`` through its top eigenpair."""
+
     def test_assembly_by_hand(self, two_cell_K):
-        B = assemble_reaction_operator(two_cell_K, 1.0, np.full(2, -0.5))
-        np.testing.assert_allclose(B.matrix, [[-1.25, 0.25], [0.25, -1.25]])
+        # [[-1.25, 0.25], [0.25, -1.25]] has eigenvalues -1.0 and -1.5
+        pair = extreme_eigenpair(two_cell_K, 1.0, np.full(2, -0.5))
+        assert pair.value == pytest.approx(-1.0, abs=1e-12)
+        np.testing.assert_allclose(pair.vector, [1.0, 1.0], atol=1e-10)
 
     def test_single_cell_assembly(self):
         grid = build_grid(1, DomainSpec(0.0, 1.0))
         K = assemble_dispersal(grid, KernelSpec.tophat(1.0))
-        B = assemble_reaction_operator(K, 1.0, np.zeros(1))
-        np.testing.assert_allclose(B.matrix, [[-0.5]])
+        pair = extreme_eigenpair(K, 1.0, np.zeros(1))
+        assert pair.value == pytest.approx(-0.5, abs=1e-14)
 
     def test_constructed_zero_row_sums(self, two_cell_K):
+        # zero row sums and nonnegative off-diagonals: the constant field is
+        # the positive (principal) eigenvector, with eigenvalue 0
         d = 1.5
         c = d * (1.0 - two_cell_K.row_masses())
-        B = assemble_reaction_operator(two_cell_K, d, c)
-        np.testing.assert_allclose(B.matrix.sum(axis=1), 0.0, atol=1e-14)
+        pair = extreme_eigenpair(two_cell_K, d, c)
+        assert pair.value == pytest.approx(0.0, abs=1e-14)
+        np.testing.assert_allclose(pair.vector, [1.0, 1.0], atol=1e-12)
 
     def test_length_mismatch(self, two_cell_K):
         with pytest.raises(InvalidArgumentError):
-            assemble_reaction_operator(two_cell_K, 1.0, np.zeros(5))
+            extreme_eigenpair(two_cell_K, 1.0, np.zeros(5))
+
+    @pytest.mark.parametrize("d", [0.0, -1.0])
+    def test_nonpositive_rate_rejected(self, two_cell_K, d):
+        with pytest.raises(InvalidArgumentError):
+            extreme_eigenpair(two_cell_K, d, np.zeros(2))
 
     def test_assembly_is_invertible_bookkeeping(self):
-        # matrix - diag(c) + d*Id reconstructs d*K (up to one rounding
-        # on the diagonal)
+        # the returned pair is an eigenpair of the dense operator built here
         rng = np.random.default_rng(8)
         for _ in range(10):
             inst = random_instance(rng, n_max=24)
             K = inst.dispersal
             d = inst.params.d_I
-            B = assemble_reaction_operator(K, d, inst.gap)
-            rebuilt = B.matrix - np.diag(inst.gap) + d * np.eye(K.n)
-            np.testing.assert_allclose(rebuilt, d * K.entries, rtol=0,
-                                       atol=1e-13 * max(1.0, d))
+            pair = extreme_eigenpair(K, d, inst.gap)
+            B = d * (K.entries - np.eye(K.n)) + np.diag(inst.gap)
+            v = pair.vector
+            assert np.max(np.abs(B @ v - pair.value * v)) <= 1e-10
 
-    def test_weighted_self_adjoint_exact(self):
+    def test_weighted_self_adjoint_exact(self, graded_grid):
+        # equal cells: K is exactly symmetric (x_i - x_j is exactly
+        # antisymmetric), which the eigensolves rely on; unequal cells:
+        # w_i K[i, j] and w_j K[j, i] agree to round-off
         rng = np.random.default_rng(6)
         for _ in range(20):
-            inst = random_instance(rng, n_max=32)
-            K = inst.dispersal
-            B = assemble_reaction_operator(K, inst.params.d_I, inst.gap)
-            w = inst.grid.weights
-            np.testing.assert_array_equal(w[:, None] * B.matrix,
-                                          (w[:, None] * B.matrix).T)
+            K = random_instance(rng, n_max=32).dispersal
+            np.testing.assert_array_equal(K.entries, K.entries.T)
+        K = assemble_dispersal(graded_grid, KernelSpec.triangle(0.25))
+        weighted = graded_grid.weights[:, None] * K.entries
+        np.testing.assert_allclose(weighted, weighted.T, rtol=1e-15, atol=0)
 
 
 def test_dispersal_quadratic_form_dissipative():
@@ -147,10 +159,3 @@ def test_dispersal_quadratic_form_dissipative():
         scale = float(np.sum(w * u * u))
         assert form <= 1e-12 * max(1.0, scale)
 
-
-def test_matrix_dump_csv(tmp_path, two_cell_K):
-    path = tmp_path / "K.csv"
-    dump_matrix_csv(two_cell_K.entries, path)
-    rows = path.read_text().strip().split("\n")
-    assert len(rows) == 2
-    np.testing.assert_allclose([float(v) for v in rows[0].split(",")], [0.25, 0.25])

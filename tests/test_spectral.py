@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from nonlocal_sis import (
     PreconditionError,
     SolverFailure,
     assemble_dispersal,
-    assemble_reaction_operator,
     basic_reproduction_number,
     build_grid,
     compute_spectral_report,
@@ -24,68 +25,120 @@ from nonlocal_sis.experiments import random_instance
 from conftest import const_field
 
 
-def dense_extreme(B, which):
-    """Oracle: full symmetric eigendecomposition in weighted coordinates."""
-    w = B.weights
-    S = np.sqrt(w)[:, None] * B.matrix / np.sqrt(w)[None, :]
+def dense_top(K, d, c):
+    """Oracle: full symmetric eigendecomposition of ``d (K - Id) + diag(c)``
+    in weighted coordinates."""
+    w = np.sqrt(K.grid.weights)
+    B = d * (K.entries - np.eye(K.n)) + np.diag(c)
+    S = w[:, None] * B / w[None, :]
     vals, vecs = np.linalg.eigh(0.5 * (S + S.T))
-    idx = -1 if which == "largest" else 0
-    v = vecs[:, idx] / np.sqrt(w)
-    return vals[idx], v
+    return vals[-1], vecs[:, -1] / w
 
 
 class TestExtremeEigenpair:
     def test_two_cell_largest(self, two_cell_K):
-        B = assemble_reaction_operator(two_cell_K, 1.0, np.zeros(2))
-        pair = extreme_eigenpair(B, "largest")
+        pair = extreme_eigenpair(two_cell_K, 1.0, np.zeros(2))
         assert pair.value == pytest.approx(-0.5, abs=1e-12)
         np.testing.assert_allclose(pair.vector, [1.0, 1.0], atol=1e-10)
 
-    def test_two_cell_smallest(self, two_cell_K):
-        B = assemble_reaction_operator(two_cell_K, 1.0, np.zeros(2))
-        pair = extreme_eigenpair(B, "smallest")
-        assert pair.value == pytest.approx(-1.0, abs=1e-12)
-        np.testing.assert_allclose(np.sort(pair.vector), [-1.0, 1.0], atol=1e-10)
-
     def test_diagonal_operator(self):
-        # kernel with no off-diagonal overlap: extremes are just max/min
-        # of the reaction minus the dispersal loss
+        # kernel with no off-diagonal overlap: the top is just the largest
+        # reaction minus the dispersal loss
         grid = build_grid(3, DomainSpec(0.0, 3.0))
         K = assemble_dispersal(grid, KernelSpec.tophat(0.25))
         c = np.array([0.3, 2.0, -1.0])
-        B = assemble_reaction_operator(K, 1.0, c)
-        diag = np.diag(B.matrix)
-        assert extreme_eigenpair(B, "largest").value == pytest.approx(
+        diag = np.diag(K.entries) - 1.0 + c
+        assert extreme_eigenpair(K, 1.0, c).value == pytest.approx(
             diag.max(), abs=1e-12)
-        assert extreme_eigenpair(B, "smallest").value == pytest.approx(
-            diag.min(), abs=1e-12)
 
     def test_residual_contract(self):
         rng = np.random.default_rng(11)
         for _ in range(15):
             inst = random_instance(rng, n_max=48)
-            B = assemble_reaction_operator(inst.dispersal, inst.params.d_I,
-                                           inst.gap)
-            pair = extreme_eigenpair(B, "largest")
+            pair = extreme_eigenpair(inst.dispersal, inst.params.d_I, inst.gap)
             assert pair.residual <= 1e-10
             assert np.max(np.abs(pair.vector)) == pytest.approx(1.0)
 
-    def test_oracle_agreement_both_ends(self):
+    def test_oracle_agreement(self):
         rng = np.random.default_rng(12)
         for _ in range(25):
             inst = random_instance(rng, n_max=48)
-            B = assemble_reaction_operator(inst.dispersal, inst.params.d_I,
-                                           inst.gap)
-            for which in ("largest", "smallest"):
-                pair = extreme_eigenpair(B, which)
-                val, _ = dense_extreme(B, which)
-                assert pair.value == pytest.approx(val, abs=1e-10)
+            K, d = inst.dispersal, inst.params.d_I
+            pair = extreme_eigenpair(K, d, inst.gap)
+            val, _ = dense_top(K, d, inst.gap)
+            assert pair.value == pytest.approx(val, abs=1e-10)
 
     def test_unreachable_tolerance_raises(self, two_cell_K):
-        B = assemble_reaction_operator(two_cell_K, 1.0, np.zeros(2))
         with pytest.raises(SolverFailure) as info:
-            extreme_eigenpair(B, "largest", tol_residual=1e-300)
+            extreme_eigenpair(two_cell_K, 1.0, np.zeros(2), tol_residual=1e-300)
         assert info.value.residual is not None
+
+
+class TestUnequalCells:
+    """A graded grid: K is self-adjoint only in the weighted pairing, so
+    every eigensolve goes through ``D^{1/2} K D^{-1/2}``.  The oracles work
+    on the nonsymmetric matrices as they stand."""
+
+    @pytest.fixture
+    def instance(self, graded_grid):
+        K = assemble_dispersal(graded_grid, KernelSpec.triangle(0.25))
+        x = graded_grid.nodes
+        beta = 1.0 + 1.5 * np.exp(-(((x - 0.5) / 0.2) ** 2))
+        return K, beta, np.full(K.n, 0.9)
+
+    def test_growth_rate(self, instance):
+        K, beta, gamma = instance
+        d = 0.3
+        pair = infection_growth_rate(K, d, beta - gamma)
+        B = d * (K.entries - np.eye(K.n)) + np.diag(beta - gamma)
+        vals, vecs = np.linalg.eig(B)
+        top = int(np.argmax(vals.real))
+        assert pair.value == pytest.approx(vals[top].real, abs=1e-10)
+        v = vecs[:, top].real
+        np.testing.assert_allclose(pair.vector, v / v[np.argmax(np.abs(v))],
+                                   atol=1e-8)
+
+    def test_r0(self, instance):
+        K, beta, gamma = instance
+        d = 0.3
+        res = basic_reproduction_number(K, d, beta, gamma)
+        A = d * (K.entries - np.eye(K.n)) - np.diag(gamma)
+        M = np.diag(beta) @ np.linalg.inv(-A)
+        assert res.value == pytest.approx(np.max(np.abs(np.linalg.eigvals(M))),
+                                          abs=1e-8)
+
+    def test_critical_rate(self, instance):
+        # oracle: d* is the top eigenvalue of (Id - K)^{-1} diag(beta - gamma)
+        K, beta, gamma = instance
+        res = critical_dispersal_rate(K, beta, gamma, bracket=(1e-3, 1.0))
+        M = np.linalg.solve(np.eye(K.n) - K.entries, np.diag(beta - gamma))
+        assert res.d_critical == pytest.approx(np.linalg.eigvals(M).real.max(),
+                                               abs=1e-6)
+        assert abs(res.growth_at_critical) <= 1e-9
+
+
+def test_dense_eigensolve_memory():
+    # one n x n array for the growth rate, two for each pencil, plus LAPACK
+    # workspace: the matrices go to LAPACK without copies
+    n = 256
+    grid = build_grid(n, DomainSpec(0.0, 1.0))
+    K = assemble_dispersal(grid, KernelSpec.triangle(0.25))
+    beta = 1.0 + 1.5 * np.exp(-(((grid.nodes - 0.5) / 0.2) ** 2))
+    gamma = np.full(n, 0.9)
+    budgets = [
+        (lambda: infection_growth_rate(K, 0.1, beta - gamma), 1.5),
+        (lambda: basic_reproduction_number(K, 0.1, beta, gamma), 2.5),
+        (lambda: critical_dispersal_rate(K, beta, gamma, (0.05, 10.0)), 2.5),
+    ]
+    for solve, budget in budgets:
+        solve()  # first call: imports and LAPACK set-up
+        tracemalloc.start()
+        try:
+            solve()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < budget * n * n * 8
 
 
 class TestDispersalPrincipalEigenpair:
