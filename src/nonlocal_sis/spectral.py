@@ -7,20 +7,22 @@ product of its grid.  With ``D = diag(w)`` the similarity transform
 already is, and ``Ks`` is K itself), so each quantity is one extreme
 eigenvalue of a symmetric matrix or of a symmetric-definite pencil built
 from ``G = d (Ks - Id) + diag(c)``, computed by a single LAPACK call
-(``scipy.linalg.eigh`` restricted to one index) and checked by its
-residual:
+restricted to one index and checked by its residual:
 
-* growth rate: top eigenvalue of ``G`` for ``d_I`` and ``c = beta - gamma``;
-* R0: top eigenvalue of the pencil ``(diag(beta), -G)`` for ``d_I`` and
-  ``c = -gamma``;
+* growth rate: top eigenvalue of ``G`` for ``d_I`` and ``c = beta - gamma``,
+  by one ``dsyevr`` call;
+* R0: ``1 / w`` for the bottom eigenvalue ``w`` of ``s (-G) s``, by one
+  ``dsyevr`` call, with ``d_I``, ``c = -gamma`` and ``s = beta^{-1/2}``: a
+  congruence of the pencil ``(diag(beta), -G)`` that keeps the inertia of ``-G``;
 * critical rate ``d*``: top eigenvalue of the pencil ``(diag(beta - gamma),
   -G)`` for ``d = 1`` and ``c = 0``, because ``mu(d) > 0`` exactly when
-  some ``v`` has ``<m v, v> > d <(Id - K) v, v>``.
+  some ``v`` has ``<m v, v> > d <(Id - K) v, v>``; ``beta - gamma`` is
+  indefinite, so it stays a pencil.
 
 When K is matrix-free (``TOEPLITZ_MIN_N`` nodes or more on equal cells)
 the growth rate and the principal dispersal eigenpair come from
 implicitly restarted Lanczos (ARPACK ``eigsh``) on the FFT product
-instead, with the same residual check; R0 and ``d*`` stay dense pencils.
+instead, with the same residual check; R0 and ``d*`` stay dense.
 Every residual is taken with ``K.matvec``, not with the eigensolve's matrix.
 
 The basic reproduction number is the spectral radius of the next-generation
@@ -33,6 +35,7 @@ the test suite.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,8 +101,10 @@ def _reaction_field(K: DispersalMatrix, d: float, c) -> np.ndarray:
     c = _field_values(c)
     if c.shape != (K.n,):
         raise InvalidArgumentError(f"reaction length {c.shape} does not match n={K.n}")
-    if d <= 0:
-        raise InvalidArgumentError(f"dispersal rate must be positive, got {d}")
+    if not 0 < d < np.inf:
+        raise InvalidArgumentError(f"dispersal rate must be finite and > 0, got {d}")
+    if not np.all(np.isfinite(c)):
+        raise InvalidArgumentError("reaction field has non-finite entries")
     return c
 
 
@@ -131,32 +136,40 @@ def _residual(K: DispersalMatrix, d: float, c: np.ndarray, value: float,
     return float(np.max(np.abs(_apply(K, d, c, v) - value * v)))
 
 
-def _eigh_at(a: np.ndarray, k: int,
-             b: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-    """Eigenpair ``k`` (ascending order) of the symmetric matrix ``a``, or of
-    the symmetric-definite pencil ``(a, b)``; both arrays are overwritten.
+# Workspace sizes per order n: the ones ``scipy.linalg.eigh`` passes, so
+# results keep its bits.
+_syevr_lwork = functools.cache(scipy.linalg.lapack.dsyevr_lwork)
 
-    They go to LAPACK as their transposes, which are the same matrices in
-    Fortran order, so no copy is made.
+
+def _eigh_at(a: np.ndarray, k: int) -> tuple[float, np.ndarray]:
+    """Eigenpair ``k`` (ascending order) of the symmetric matrix ``a`` by one
+    ``dsyevr`` call; ``a`` is overwritten.
+
+    It goes to LAPACK as its transpose, which is the same matrix in Fortran
+    order, so no copy is made.  Input finiteness is checked by the callers.
     """
-    vals, vecs = scipy.linalg.eigh(a.T, None if b is None else b.T,
-                                   subset_by_index=[k, k],
-                                   overwrite_a=True, overwrite_b=True)
-    return float(vals[0]), vecs[:, 0]
+    lwork, liwork, _ = _syevr_lwork(a.shape[0], lower=1)
+    w, z, _, _, info = scipy.linalg.lapack.dsyevr(
+        a.T, range="I", il=k + 1, iu=k + 1, lower=1, lwork=int(lwork),
+        liwork=int(liwork), overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevr failed with info={info}")
+    return float(w[0]), z[:, 0]
 
 
-def _pencil_top(top: np.ndarray, K: DispersalMatrix, d: float,
-                c: np.ndarray) -> tuple[float, np.ndarray]:
-    """Top eigenpair of ``(diag(top), -_generator(K, d, c))``, in weighted
-    coordinates; ``LinAlgError`` when ``-G`` is not positive definite."""
-    minus_G = _generator(K, d, c)
+def _pencil_top(top: np.ndarray, K: DispersalMatrix) -> float:
+    """Top eigenvalue of the pencil ``(diag(top), Id - Ks)``;
+    ``LinAlgError`` when ``Id - Ks`` is not positive definite."""
+    minus_G = _generator(K, 1.0, np.zeros(K.n))
     np.negative(minus_G, out=minus_G)
-    return _eigh_at(np.diag(top), K.n - 1, minus_G)
+    return float(scipy.linalg.eigh(np.diag(top).T, minus_G.T, eigvals_only=True,
+                                   subset_by_index=[K.n - 1, K.n - 1],
+                                   overwrite_a=True, overwrite_b=True)[0])
 
 
 def _checked_pair(value: float, v: np.ndarray, residual: float, iterations: int,
                   tol_residual: float) -> Eigenpair:
-    if residual > tol_residual:
+    if not residual <= tol_residual:
         raise SolverFailure(
             f"eigenpair residual {residual:.3e} above tolerance {tol_residual:.1e}",
             residual=residual, iterations=iterations)
@@ -250,25 +263,34 @@ def basic_reproduction_number(K: DispersalMatrix, d_I: float, beta, gamma,
 
     An eigenpair ``(R0, u)`` corresponds to ``phi = (-A)^{-1} u / R0`` with
     ``beta phi = R0 (-A) phi``: the top eigenvalue of the symmetric-definite
-    pencil ``(diag(beta), -A)`` in weighted coordinates.  The returned
-    infection profile ``u = beta phi`` has sup-norm 1, and the residual is
-    ``|u - R0 (-A) phi|_inf``.
+    pencil ``(diag(beta), -A)`` in weighted coordinates.  With
+    ``s = beta^{-1/2}`` and ``phi = s z`` it is ``1 / w`` for the bottom
+    eigenpair ``(w, z)`` of ``s (-A) s``, formed in place; ``w <= 0`` exactly
+    when ``-A`` is not positive definite (the congruence keeps the inertia).
+    The returned infection profile ``u = beta phi`` has sup-norm 1, and the
+    residual is ``|u - R0 (-A) phi|_inf``.
     """
-    beta_v, gamma_v = _field_values(beta), _field_values(gamma)
-    c = _reaction_field(K, d_I, -gamma_v)  # A = d_I (K - Id) + diag(c)
-    try:
-        value, y = _pencil_top(beta_v, K, d_I, c)
-    except np.linalg.LinAlgError:
-        bound = recovery_spectral_bound(K, d_I, gamma_v)
+    beta_v = _reaction_field(K, d_I, beta)
+    c = _reaction_field(K, d_I, -_field_values(gamma))  # A = d_I (K - Id) + diag(c)
+    if not np.all(beta_v > 0):
+        raise InvalidArgumentError("beta must be positive at every node")
+    s = 1.0 / np.sqrt(beta_v)
+    a = _generator(K, d_I, c)
+    a *= s[:, None]
+    a *= -s
+    w, z = _eigh_at(a, 0)
+    if w <= 0:
+        bound = recovery_spectral_bound(K, d_I, -c)
         raise PreconditionError(
             f"damped generator has nonnegative spectral bound ({bound:.3e}); "
-            "the next-generation operator is undefined") from None
-    phi = y / np.sqrt(K.grid.weights)
+            "the next-generation operator is undefined")
+    value = 1.0 / w
+    phi = s * z / np.sqrt(w * K.grid.weights)
     u = beta_v * phi
     scale = 1.0 / u[np.argmax(np.abs(u))]  # sup-norm 1, dominant entry positive
     u, phi = scale * u, scale * phi
     residual = float(np.max(np.abs(u + value * _apply(K, d_I, c, phi))))
-    if not residual <= tol_residual:  # NaN when beta vanishes identically
+    if not residual <= tol_residual:
         raise SolverFailure(
             f"R0 residual {residual:.3e} above tolerance {tol_residual:.1e}",
             residual=residual, iterations=1)
@@ -309,7 +331,7 @@ def critical_dispersal_rate(K: DispersalMatrix, beta, gamma,
         raise InvalidBracketError(f"need 0 < lo < hi, got ({lo}, {hi})")
 
     try:
-        d_star, _ = _pencil_top(m, K, 1.0, np.zeros(K.n))  # Id - K
+        d_star = _pencil_top(m, K)
     except np.linalg.LinAlgError:
         raise PreconditionError(
             "Id - K is not positive definite: the dispersal operator "

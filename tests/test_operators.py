@@ -121,6 +121,16 @@ class TestReactionOperator:
         with pytest.raises(InvalidArgumentError):
             extreme_eigenpair(two_cell_K, d, np.zeros(2))
 
+    @pytest.mark.parametrize("n", [64, 512])  # dense eigensolve, then Lanczos
+    @pytest.mark.parametrize("d, bad", [(1.0, np.nan), (np.inf, 0.0)])
+    def test_non_finite_input_rejected(self, n, d, bad):
+        K = assemble_dispersal(build_grid(n, DomainSpec(0.0, 1.0)),
+                               KernelSpec.triangle(0.25))
+        m = np.full(n, 0.5)
+        m[n // 2] = bad
+        with pytest.raises(InvalidArgumentError):
+            extreme_eigenpair(K, d, m)
+
     def test_assembly_is_invertible_bookkeeping(self):
         # the returned pair is an eigenpair of the dense operator built here
         rng = np.random.default_rng(8)

@@ -2,10 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nonlocal_sis import (
     DispersalMatrix,
     DomainSpec,
+    InvalidArgumentError,
     InvalidBracketError,
     KernelSpec,
     PreconditionError,
@@ -21,6 +23,7 @@ from nonlocal_sis import (
     recovery_spectral_bound,
 )
 from nonlocal_sis.experiments import random_instance
+from nonlocal_sis import spectral
 
 from conftest import const_field
 
@@ -67,6 +70,11 @@ class TestExtremeEigenpair:
             pair = extreme_eigenpair(K, d, inst.gap)
             val, _ = dense_top(K, d, inst.gap)
             assert pair.value == pytest.approx(val, abs=1e-10)
+
+    def test_nan_residual_raises(self, two_cell_K, monkeypatch):
+        monkeypatch.setattr(spectral, "_residual", lambda *args: float("nan"))
+        with pytest.raises(SolverFailure):
+            extreme_eigenpair(two_cell_K, 1.0, np.zeros(2))
 
     def test_unreachable_tolerance_raises(self, two_cell_K):
         with pytest.raises(SolverFailure) as info:
@@ -117,9 +125,22 @@ class TestUnequalCells:
         assert abs(res.growth_at_critical) <= 1e-9
 
 
+@pytest.mark.parametrize("n", [1, 2, 17, 40, 64, 256])
+def test_eigh_at_matches_scipy_eigh_bitwise(n):
+    # the direct dsyevr call sizes its workspace as scipy.linalg.eigh does,
+    # so both ends of the spectrum keep eigh's exact bits
+    x = np.random.default_rng(n).standard_normal((n, n))
+    a = x + x.T
+    for k in {0, n - 1}:
+        vals, vecs = scipy.linalg.eigh(a, subset_by_index=[k, k])
+        value, vector = spectral._eigh_at(a.copy(), k)
+        assert value == vals[0]
+        np.testing.assert_array_equal(vector, vecs[:, 0])
+
+
 def test_dense_eigensolve_memory():
-    # one n x n array for the growth rate, two for each pencil, plus LAPACK
-    # workspace: the matrices go to LAPACK without copies
+    # one n x n array for the growth rate and for R0, two for the d* pencil,
+    # plus LAPACK workspace: the matrices go to LAPACK without copies
     n = 256
     grid = build_grid(n, DomainSpec(0.0, 1.0))
     K = assemble_dispersal(grid, KernelSpec.triangle(0.25))
@@ -127,7 +148,7 @@ def test_dense_eigensolve_memory():
     gamma = np.full(n, 0.9)
     budgets = [
         (lambda: infection_growth_rate(K, 0.1, beta - gamma), 1.5),
-        (lambda: basic_reproduction_number(K, 0.1, beta, gamma), 2.5),
+        (lambda: basic_reproduction_number(K, 0.1, beta, gamma), 1.5),
         (lambda: critical_dispersal_rate(K, beta, gamma, (0.05, 10.0)), 2.5),
     ]
     for solve, budget in budgets:
@@ -241,6 +262,26 @@ class TestBasicReproductionNumber:
             M = np.diag(inst.beta.values) @ np.linalg.inv(-A)
             oracle = np.max(np.abs(np.linalg.eigvals(M)))
             assert res.value == pytest.approx(oracle, abs=1e-8)
+
+    def test_wide_transmission_range(self):
+        # beta over four decades: the congruence s (-A) s with s = beta^{-1/2}
+        # is then far from a multiple of -A
+        rng = np.random.default_rng(18)
+        for _ in range(25):
+            inst = random_instance(rng, n_max=48)
+            K, d = inst.dispersal, inst.params.d_I
+            beta = 10.0 ** rng.uniform(-2.0, 2.0, K.n)
+            res = basic_reproduction_number(K, d, beta, inst.gamma)
+            A = d * (K.entries - np.eye(K.n)) - np.diag(inst.gamma.values)
+            oracle = np.max(np.abs(np.linalg.eigvals(np.diag(beta)
+                                                     @ np.linalg.inv(-A))))
+            assert res.value == pytest.approx(oracle, rel=1e-8)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.5])
+    def test_nonpositive_transmission_rejected(self, two_cell_K, bad):
+        with pytest.raises(InvalidArgumentError):
+            basic_reproduction_number(two_cell_K, 1.0, np.array([2.0, bad]),
+                                      np.full(2, 0.5))
 
     def test_undamped_generator_rejected(self, two_cell_K):
         # a negative "recovery" makes the damped generator unstable, so
