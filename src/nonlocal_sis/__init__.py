@@ -86,7 +86,6 @@ from .operators import (
 )
 from .spectral import (
     Eigenpair,
-    R0Result,
     SpectralReport,
     ThresholdResult,
     basic_reproduction_number,

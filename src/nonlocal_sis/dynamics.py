@@ -70,7 +70,6 @@ class IntegratorConfig:
     t_end: float
     method: str = "rk4"
     snapshot_stride: int = 1
-    positivity_floor: float = 0.0
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_end <= 0:
@@ -116,28 +115,28 @@ class FieldTrajectory:
     dt: float
 
 
-def rhs(state: State, params, K: DispersalMatrix, beta, gamma, lam,
-        positivity_floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+def rhs(state: State, params, K: DispersalMatrix, beta, gamma,
+        lam) -> tuple[np.ndarray, np.ndarray]:
     """Right-hand side of the epidemic system at a nonnegative state."""
     if np.any(state.S < 0) or np.any(state.I < 0):
         raise InvalidStateError("state has negative components")
     dS, dI = _rhs_raw(np.stack([state.S, state.I]), params.d_S, params.d_I, K,
                       _field_values(beta), _field_values(gamma),
-                      _field_values(lam), positivity_floor)
+                      _field_values(lam))
     return dS, dI
 
 
-def _infection_pressure(S, I, beta, floor):
+def _infection_pressure(S, I, beta):
     total = S + I
-    safe = np.where(total > floor, total, 1.0)
-    return np.where(total > floor, beta * S * I / safe, 0.0)
+    safe = np.where(total > 0.0, total, 1.0)
+    return np.where(total > 0.0, beta * S * I / safe, 0.0)
 
 
-def _rhs_raw(y, d_s, d_i, K, beta, gamma, lam, floor):
+def _rhs_raw(y, d_s, d_i, K, beta, gamma, lam):
     """Right-hand side for the stacked state ``y = (S, I)``, stacked."""
     S, I = y
     KS, KI = K.matvec(y)
-    infect = _infection_pressure(S, I, beta, floor)
+    infect = _infection_pressure(S, I, beta)
     dS = d_s * (KS - S) + lam - infect + gamma * I
     dI = d_i * (KI - I) + infect - gamma * I
     return np.stack([dS, dI])
@@ -195,11 +194,9 @@ def integrate(state0: State, config: IntegratorConfig, params, K: DispersalMatri
     lam_v = _field_values(lam)
     _check_budget(config, max(params.d_S, params.d_I),
                   float(beta_v.max()), float(gamma_v.max()))
-    floor = config.positivity_floor
 
     def f(y, t):
-        return _rhs_raw(y, params.d_S, params.d_I, K, beta_v, gamma_v, lam_v,
-                        floor)
+        return _rhs_raw(y, params.d_S, params.d_I, K, beta_v, gamma_v, lam_v)
 
     times, snaps, norm_i, norm_s = [], [], [], []
 

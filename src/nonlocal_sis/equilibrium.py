@@ -11,8 +11,8 @@ the classical two-sided monotone scheme: iterate ``u <- u + F(u)/rho`` with a
 relaxation constant ``rho`` large enough that the map is order-preserving
 on the bracket, once upward from a small multiple of the principal
 eigenvector (a subsolution) and once downward from an explicit
-supersolution.  Both limits must agree, which is exactly the uniqueness
-statement for these problems.
+supersolution, with one evaluation of ``F`` per step.  Both limits must
+agree, which is exactly the uniqueness statement for these problems.
 """
 
 from __future__ import annotations
@@ -166,11 +166,12 @@ def _two_sided_solve(K: DispersalMatrix, d: float,
 
     ``eps <= cap`` is the largest halving of ``cap`` that makes ``eps * psi``
     a subsolution.  The relaxed map ``u <- u + F(u)/rho`` runs upward from
-    it and downward from the supersolution ``high``.  Iterates are clamped
-    to the bracket (a no-op in exact arithmetic) and clamp events are
-    counted.  ``monotone_defect`` records the largest movement against the
-    expected direction, which should be at roundoff level for a valid
-    relaxation constant.
+    it and downward from the supersolution ``high``.  Each step evaluates
+    ``F`` once: the values of the residual test are the next increment.
+    Iterates are clamped to the nonnegative part of the bracket (a no-op in
+    exact arithmetic) and clamp events are counted.  ``monotone_defect``
+    records the largest movement against the expected direction, which
+    should be at roundoff level for a valid relaxation constant.
     """
     def F(u: np.ndarray) -> np.ndarray:
         return d * (K.matvec(u) - u) + reaction(u)
@@ -181,25 +182,27 @@ def _two_sided_solve(K: DispersalMatrix, d: float,
     limits: list[np.ndarray] = []
     total_iters = 0
     for start, direction in ((sub, +1.0), (high, -1.0)):
+        floor = np.maximum(sub, 0.0) if direction > 0 else 0.0
         u = start.astype(float).copy()
         iterations = 0
-        residual = float(np.max(np.abs(F(u))))
+        values = F(u)
+        residual = float(np.max(np.abs(values)))
         while residual > RESIDUAL_TARGET:
             if iterations >= ITERATION_CAP:
                 raise SolverFailure(
                     "monotone iteration hit the iteration cap",
                     residual=residual, iterations=iterations)
-            nxt = u + F(u) / rho
+            nxt = u + values / rho
             moved = nxt - u
             monotone_defect = max(monotone_defect,
                                   float(np.max(-direction * moved, initial=0.0)))
-            clipped = np.clip(nxt, sub if direction > 0 else None, high)
-            clipped = np.maximum(clipped, 0.0)
+            clipped = np.clip(nxt, floor, high)
             clamp_events += int(np.sum(clipped != nxt))
             step = float(np.max(np.abs(clipped - u)))
             u = clipped
             iterations += 1
-            residual = float(np.max(np.abs(F(u))))
+            values = F(u)
+            residual = float(np.max(np.abs(values)))
             if step < STALL_STEP and residual > RESIDUAL_TARGET:
                 raise SolverFailure(
                     "monotone iteration stalled before reaching the residual target",

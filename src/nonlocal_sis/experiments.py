@@ -14,7 +14,7 @@ comments.  Recognized keys (see README for the full reference):
                              bump | table with their parameters)
     init.s.* init.i.*        initial data recipes for simulate
     d_S d_I                  dispersal rates
-    integrator.dt .method .t_end .snapshot_stride .positivity_floor
+    integrator.dt .method .t_end .snapshot_stride
     simulate.tol
     sweep.lo sweep.hi sweep.count sweep.spacing
     verify.instances verify.n_max
@@ -165,13 +165,14 @@ _SIMPLE_KEYS = {
     "kernel.family", "kernel.h", "kernel.sigma", "kernel.cutoff",
     "d_S", "d_I",
     "integrator.dt", "integrator.method", "integrator.t_end",
-    "integrator.snapshot_stride", "integrator.positivity_floor",
+    "integrator.snapshot_stride",
     "simulate.tol",
     "sweep.lo", "sweep.hi", "sweep.count", "sweep.spacing",
     "verify.instances", "verify.n_max",
 }
 
 _FIELD_PREFIXES = ("beta", "gamma", "lambda", "init.s", "init.i")
+_FIELD_NAMES = {"family"}.union(*_FIELD_KEYS.values())
 
 
 def _check_keys(entries: dict) -> None:
@@ -179,9 +180,7 @@ def _check_keys(entries: dict) -> None:
         if key in _SIMPLE_KEYS:
             continue
         prefix, _, tail = key.rpartition(".")
-        if prefix in _FIELD_PREFIXES and tail in {"family", "value", "c1", "c2",
-                                                  "x_split", "base", "amp",
-                                                  "center", "width", "path"}:
+        if prefix in _FIELD_PREFIXES and tail in _FIELD_NAMES:
             continue
         raise ConfigError(f"unknown key {key!r}", key=key)
 
@@ -330,7 +329,6 @@ def _integrator_config(config: ExperimentConfig) -> IntegratorConfig:
         t_end=float(_require(config, "integrator.t_end")),
         method=str(config.get("integrator.method", "rk4")),
         snapshot_stride=int(config.get("integrator.snapshot_stride", 1)),
-        positivity_floor=float(config.get("integrator.positivity_floor", 0.0)),
     )
 
 

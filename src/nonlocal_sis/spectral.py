@@ -52,7 +52,6 @@ from .operators import DispersalMatrix
 
 __all__ = [
     "Eigenpair",
-    "R0Result",
     "SpectralReport",
     "ThresholdResult",
     "extreme_eigenpair",
@@ -71,16 +70,6 @@ SIGN_DEADBAND = 1e-8
 @dataclass(frozen=True)
 class Eigenpair:
     """Extreme eigenvalue with its node-field eigenvector and diagnostics."""
-
-    value: float
-    vector: np.ndarray
-    residual: float
-    iterations: int
-
-
-@dataclass(frozen=True)
-class R0Result:
-    """Basic reproduction number with its principal direction."""
 
     value: float
     vector: np.ndarray
@@ -257,7 +246,7 @@ def recovery_spectral_bound(K: DispersalMatrix, d_I: float, gamma,
 
 
 def basic_reproduction_number(K: DispersalMatrix, d_I: float, beta, gamma,
-                              tol_residual: float = RESIDUAL_TOL) -> R0Result:
+                              tol_residual: float = RESIDUAL_TOL) -> Eigenpair:
     """Spectral radius of the next-generation operator
     ``diag(beta) (-A)^{-1}`` with ``A = d_I (K - Id) - diag(gamma)``.
 
@@ -290,11 +279,7 @@ def basic_reproduction_number(K: DispersalMatrix, d_I: float, beta, gamma,
     scale = 1.0 / u[np.argmax(np.abs(u))]  # sup-norm 1, dominant entry positive
     u, phi = scale * u, scale * phi
     residual = float(np.max(np.abs(u + value * _apply(K, d_I, c, phi))))
-    if not residual <= tol_residual:
-        raise SolverFailure(
-            f"R0 residual {residual:.3e} above tolerance {tol_residual:.1e}",
-            residual=residual, iterations=1)
-    return R0Result(value=value, vector=u, residual=residual, iterations=1)
+    return _checked_pair(value, u, residual, 1, tol_residual)
 
 
 @dataclass(frozen=True)
@@ -325,7 +310,7 @@ def critical_dispersal_rate(K: DispersalMatrix, beta, gamma,
     pencil ``(diag(m), Id - K)`` in weighted coordinates.  The returned
     bracket keeps ``lo`` and doubles ``hi`` until it exceeds ``d*``.
     """
-    m = _field_values(beta) - _field_values(gamma)
+    m = _reaction_field(K, 1.0, beta) - _reaction_field(K, 1.0, gamma)
     lo, hi = bracket
     if not (0 < lo < hi):
         raise InvalidBracketError(f"need 0 < lo < hi, got ({lo}, {hi})")

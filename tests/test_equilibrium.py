@@ -110,6 +110,47 @@ class TestTwoSidedDriver:
         assert info.value.iterations == 200
         assert info.value.residual is not None and info.value.residual > 0
 
+    @staticmethod
+    def _count_matvecs(K, monkeypatch):
+        """Count ``K.matvec`` calls, and separately those made while
+        searching for the subsolution amplitude."""
+        calls = SimpleNamespace(total=0, subsolution=0)
+        matvec, scale = K.matvec, equilibrium._subsolution_scale
+
+        def counted_matvec(u):
+            calls.total += 1
+            return matvec(u)
+
+        def counted_scale(*args):
+            before = calls.total
+            eps = scale(*args)
+            calls.subsolution += calls.total - before
+            return eps
+
+        monkeypatch.setattr(K, "matvec", counted_matvec)
+        monkeypatch.setattr(equilibrium, "_subsolution_scale", counted_scale)
+        return calls
+
+    def test_one_dispersal_product_per_endemic_step(self, two_cell_K,
+                                                    monkeypatch):
+        # growth rate 0.05, just above threshold: thousands of relaxed steps
+        dfe = solve_disease_free(two_cell_K, 1.0, np.ones(2)).field
+        calls = self._count_matvecs(two_cell_K, monkeypatch)
+        pair = solve_endemic(two_cell_K, ModelParams(1.0, 1.0),
+                             np.full(2, 1.05), np.full(2, 0.5), dfe)
+        assert pair.iterations >= 2000
+        # growth-rate residual and one residual test per starting point
+        assert calls.total <= pair.iterations + calls.subsolution + 3
+
+    def test_one_dispersal_product_per_logistic_step(self, two_cell_K,
+                                                     monkeypatch):
+        # principal eigenvalue 0.02: thousands of relaxed steps
+        calls = self._count_matvecs(two_cell_K, monkeypatch)
+        res = solve_logistic_stationary(two_cell_K, 1.0, np.full(2, 0.52),
+                                        np.ones(2))
+        assert res.iterations >= 2000
+        assert calls.total <= res.iterations + calls.subsolution + 3
+
 
 class TestEndemic:
     def test_hand_instance(self, endemic_setup):

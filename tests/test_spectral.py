@@ -333,6 +333,17 @@ class TestCriticalDispersalRate:
             critical_dispersal_rate(K, np.full(2, 2.0), np.full(2, 0.5),
                                     bracket=(0.1, 10.0))
 
+    @pytest.mark.parametrize("beta, gamma", [
+        (np.where(np.arange(64) == 3, np.nan, 2.0), np.full(64, 0.5)),
+        (np.full(63, 2.0), np.full(63, 0.5)),
+        (np.full(63, 2.0), np.full(64, 0.5)),
+    ], ids=["nan-at-node-3", "length-63", "length-63-beta"])
+    def test_invalid_field_rejected(self, beta, gamma):
+        K = assemble_dispersal(build_grid(64, DomainSpec(0.0, 1.0)),
+                               KernelSpec.tophat(0.25))
+        with pytest.raises(InvalidArgumentError):
+            critical_dispersal_rate(K, beta, gamma, bracket=(0.1, 10.0))
+
     def test_dense_oracle_root(self):
         # oracle: np.linalg.eigh of the symmetrized d (K - Id) + diag(m)
         def mu(inst, d):
