@@ -1,4 +1,5 @@
-"""Disease-free and endemic equilibria via two-sided monotone iteration.
+"""Disease-free equilibrium by one direct solve, endemic by two-sided
+monotone iteration.
 
 The disease-free profile solves a linear balance (one direct solve,
 certified by a compensated residual).  The endemic profile comes

@@ -3,9 +3,10 @@ hostile exterior.
 
 The package discretizes the model on a midpoint quadrature grid, computes
 its threshold quantities (principal eigenvalues, spectral bounds, the basic
-reproduction number), constructs disease-free and endemic equilibria by
-monotone iteration, and time-integrates the dynamics to check extinction
-and persistence against those predictions.
+reproduction number), solves for the disease-free equilibrium directly and
+for the endemic one by two-sided monotone iteration, and time-integrates the
+dynamics to check extinction and persistence against those predictions.
+Report files are written by ``write_report`` alone.
 """
 
 __version__ = "0.1.0"
@@ -48,7 +49,6 @@ from .equilibrium import (
     solve_disease_free,
     solve_endemic,
     solve_logistic_stationary,
-    write_field_csv,
 )
 from .errors import (
     BracketBreach,

@@ -41,8 +41,6 @@ __all__ = [
     "integrate_logistic",
     "estimate_rate",
     "check_convergence",
-    "write_trajectory_csv",
-    "write_norms_csv",
 ]
 
 STABILITY_BUDGET = 0.5
@@ -72,8 +70,9 @@ class IntegratorConfig:
     snapshot_stride: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_end <= 0:
-            raise InvalidConfigError("dt and t_end must be positive")
+        if not (0 < self.dt < np.inf and 0 < self.t_end < np.inf):
+            raise InvalidConfigError("dt and t_end must be finite and positive, "
+                                     f"got {self.dt} and {self.t_end}")
         if self.method not in ("explicit_euler", "rk4"):
             raise InvalidConfigError(f"unknown method {self.method!r}")
         if self.snapshot_stride < 1:
@@ -356,31 +355,3 @@ def check_convergence(trajectory: Trajectory, s_target: np.ndarray | None = None
     above = np.nonzero(~inside)[0]
     first = 0 if above.size == 0 else above[-1] + 1
     return float(trajectory.times[first])
-
-
-def write_trajectory_csv(traj: Trajectory, nodes: np.ndarray, path) -> None:
-    """CSV export: one row per snapshot, columns t, S at nodes, I at nodes."""
-    nodes = np.asarray(nodes)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        header = ["t"]
-        header += [f"S_x{i}" for i in range(nodes.size)]
-        header += [f"I_x{i}" for i in range(nodes.size)]
-        f.write(",".join(header) + "\n")
-        for t, snap in zip(traj.times, traj.snapshots):
-            row = [repr(float(t))]
-            row += [repr(float(v)) for v in snap.S]
-            row += [repr(float(v)) for v in snap.I]
-            f.write(",".join(row) + "\n")
-
-
-def write_norms_csv(traj: Trajectory, path) -> None:
-    """CSV export of the norm histories recorded with the trajectory."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        has_s = traj.sup_norm_S_minus_target is not None
-        header = "t,sup_norm_I" + (",sup_norm_S_minus_target" if has_s else "")
-        f.write(header + "\n")
-        for k, t in enumerate(traj.times):
-            row = [repr(float(t)), repr(float(traj.sup_norm_I[k]))]
-            if has_s:
-                row.append(repr(float(traj.sup_norm_S_minus_target[k])))
-            f.write(",".join(row) + "\n")

@@ -27,6 +27,7 @@ import scipy.linalg
 from .domain import ModelParams, _field_values
 from .errors import (
     BracketBreach,
+    InvalidArgumentError,
     NoEndemicState,
     NoPositiveState,
     SolverFailure,
@@ -34,7 +35,11 @@ from .errors import (
     UniquenessViolation,
 )
 from .operators import DispersalMatrix
-from .spectral import dispersal_principal_eigenpair, infection_growth_rate
+from .spectral import (
+    _reaction_field,
+    dispersal_principal_eigenpair,
+    infection_growth_rate,
+)
 
 __all__ = [
     "EquilibriumResult",
@@ -42,7 +47,6 @@ __all__ = [
     "solve_disease_free",
     "solve_endemic",
     "solve_logistic_stationary",
-    "write_field_csv",
 ]
 
 AGREEMENT_TOL = 1e-8
@@ -114,11 +118,13 @@ def solve_disease_free(K: DispersalMatrix, d_S: float, lam) -> EquilibriumResult
     recursion on the symmetric Toeplitz column of ``Id - K`` when K is
     matrix-free, dense LU otherwise), certified by the compensated residual
     of ``d_S (K u - u) + lam``, which does not share the solve's path; a
-    residual above 1e-8 raises ``SolverInconsistency``.  The bracket is
-    ``[eps, big] * phi`` with ``phi`` the principal eigenvector of the pure
-    dispersal operator.
+    residual above 1e-8 (or NaN) raises ``SolverInconsistency``.  The bracket
+    is ``[eps, big] * phi`` with ``phi`` the principal eigenvector of the
+    pure dispersal operator.  A ``d_S`` that is not finite and positive, or a
+    ``lam`` that is not a finite field of length n, raises
+    ``InvalidArgumentError``.
     """
-    lam_v = _field_values(lam)
+    lam_v = _reaction_field(K, d_S, lam)
     if K.matrix_free:
         column = -K.column
         column[0] += 1.0
@@ -126,7 +132,7 @@ def solve_disease_free(K: DispersalMatrix, d_S: float, lam) -> EquilibriumResult
     else:
         u = np.linalg.solve(np.eye(K.n) - K.entries, lam_v / d_S)
     residual = _fresh_residual(K, d_S, u, lam_v)
-    if residual > AGREEMENT_TOL:
+    if not residual <= AGREEMENT_TOL:
         raise SolverInconsistency(
             f"direct disease-free solve leaves residual {residual:.3e}")
 
@@ -237,11 +243,15 @@ def solve_endemic(K: DispersalMatrix, params: ModelParams, beta, gamma,
     combination ``d_S S + d_I I = d_S S_dfe``.  The bracket is
     ``[eps * psi, (d_S/d_I) * S_dfe]`` with ``psi`` the principal
     eigenvector of the linearized infection operator, and the susceptible
-    profile is recovered from the conservation identity afterwards.
+    profile is recovered from the conservation identity afterwards.  A
+    ``dfe`` that is not a finite positive field of length n raises
+    ``InvalidArgumentError``.
     """
     beta_v, gamma_v = _field_values(beta), _field_values(gamma)
-    dfe = np.asarray(dfe, dtype=float)
     d_s, d_i = params.d_S, params.d_I
+    dfe = _reaction_field(K, d_s, dfe)
+    if not np.all(dfe > 0):
+        raise InvalidArgumentError("disease-free profile must be positive")
     m = beta_v - gamma_v
 
     growth = infection_growth_rate(K, d_i, m)
@@ -283,9 +293,10 @@ def solve_logistic_stationary(K: DispersalMatrix, d: float, b, a) -> Equilibrium
 
     Exists exactly when the principal eigenvalue of ``d (K - Id) + diag(b)``
     is positive; solved by the same two-sided monotone scheme with the
-    constant supersolution ``max(b) / min(a)``.
+    constant supersolution ``max(b) / min(a)``.  An ``a`` that is not a
+    finite field of length n raises ``InvalidArgumentError``.
     """
-    b_v, a_v = _field_values(b), _field_values(a)
+    b_v, a_v = _field_values(b), _reaction_field(K, d, a)
     if np.any(a_v <= 0):
         raise NoPositiveState("quadratic damping must be strictly positive")
 
@@ -302,13 +313,3 @@ def solve_logistic_stationary(K: DispersalMatrix, d: float, b, a) -> Equilibrium
     res, _ = _two_sided_solve(K, d, lambda u: b_v * u - a_v * u * u, rho,
                               np.full(K.n, high_const), growth.vector, cap)
     return res
-
-
-def write_field_csv(nodes: np.ndarray, values: np.ndarray, path) -> None:
-    """Export a node field as CSV columns (x_i, value)."""
-    nodes = np.asarray(nodes, dtype=float)
-    values = np.asarray(values, dtype=float)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("x,value\n")
-        for x, v in zip(nodes, values):
-            f.write(f"{float(x)!r},{float(v)!r}\n")

@@ -48,16 +48,15 @@ from .domain import (
     sample_field_values,
     validate_instance,
 )
-from .dynamics import (
-    IntegratorConfig,
-    State,
-    check_convergence,
-    integrate,
-    write_norms_csv,
-    write_trajectory_csv,
-)
+from .dynamics import IntegratorConfig, State, check_convergence, integrate
 from .equilibrium import solve_disease_free, solve_endemic
-from .errors import ConfigError, InvalidBracketError, NonlocalSISError, SolverFailure
+from .errors import (
+    ConfigError,
+    InvalidArgumentError,
+    InvalidBracketError,
+    NonlocalSISError,
+    SolverFailure,
+)
 from .operators import DispersalMatrix, assemble_dispersal
 from .spectral import (
     SIGN_DEADBAND,
@@ -211,7 +210,10 @@ def _field_spec(config: ExperimentConfig, prefix: str, n: int) -> FieldSpec:
         if not path.exists():
             raise ConfigError(f"table for {prefix!r} not found: {path}",
                               key=f"{prefix}.path")
-        values = load_coefficient_table(path)
+        try:
+            values = load_coefficient_table(path)
+        except InvalidArgumentError as exc:
+            raise ConfigError(str(exc), key=f"{prefix}.path") from None
         if values.size != n:
             raise ConfigError(
                 f"table for {prefix!r} has {values.size} rows, grid has {n}",
@@ -605,20 +607,36 @@ def write_report(report: RunReport, out_dir) -> list[Path]:
 
     packed = report.outputs.get("_trajectory_obj")
     if report.scenario == "simulate" and packed is not None:
-        traj, nodes = packed
-        traj_path = out_dir / "trajectory.csv"
-        write_trajectory_csv(traj, nodes, traj_path)
-        paths.append(traj_path)
-        norms_path = out_dir / "norms.csv"
-        write_norms_csv(traj, norms_path)
-        paths.append(norms_path)
+        traj, nodes = packed  # _run_simulate always records |S - target|
+        n = len(nodes)
+        paths.append(_write_csv(
+            out_dir / "trajectory.csv",
+            ["t"] + [f"S_x{i}" for i in range(n)] + [f"I_x{i}" for i in range(n)],
+            ([t] + snap.S.tolist() + snap.I.tolist()
+             for t, snap in zip(traj.times.tolist(), traj.snapshots))))
+        paths.append(_write_csv(
+            out_dir / "norms.csv", ["t", "sup_norm_I", "sup_norm_S_minus_target"],
+            np.column_stack([traj.times, traj.sup_norm_I,
+                             traj.sup_norm_S_minus_target]).tolist()))
 
     if report.scenario == "threshold_sweep" and "rows" in report.outputs:
-        sweep_path = out_dir / "sweep.csv"
-        with open(sweep_path, "w", encoding="utf-8", newline="\n") as f:
-            f.write("d_I,mu_p,r0\n")
-            for row in report.outputs["rows"]:
-                f.write(f"{row['d_I']!r},{row['mu_p']!r},{row['r0']!r}\n")
-        paths.append(sweep_path)
+        header = ["d_I", "mu_p", "r0"]
+        paths.append(_write_csv(out_dir / "sweep.csv", header,
+                                ([row[k] for k in header]
+                                 for row in report.outputs["rows"])))
 
     return paths
+
+
+def _write_csv(path: Path, header: list[str], rows) -> Path:
+    """Write one CSV file in the dialect of the module docstring; return
+    its path.
+
+    Every cell is ``repr`` of a Python float, so rows come from
+    ``ndarray.tolist()``: a NumPy scalar would print as ``np.float64(...)``.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(map(repr, row)) + "\n")
+    return path

@@ -86,14 +86,15 @@ def _orient_sup(v: np.ndarray) -> np.ndarray:
 
 
 def _reaction_field(K: DispersalMatrix, d: float, c) -> np.ndarray:
-    """Check the rate and the reaction field of ``d (K - Id) + diag(c)``."""
+    """Check the rate and the node field of ``d (K - Id) + diag(c)``; the
+    stationary solvers check their rate and input fields with it too."""
     c = _field_values(c)
     if c.shape != (K.n,):
-        raise InvalidArgumentError(f"reaction length {c.shape} does not match n={K.n}")
+        raise InvalidArgumentError(f"field shape {c.shape} does not match n={K.n}")
     if not 0 < d < np.inf:
         raise InvalidArgumentError(f"dispersal rate must be finite and > 0, got {d}")
     if not np.all(np.isfinite(c)):
-        raise InvalidArgumentError("reaction field has non-finite entries")
+        raise InvalidArgumentError("field has non-finite entries")
     return c
 
 
@@ -156,17 +157,16 @@ def _pencil_top(top: np.ndarray, K: DispersalMatrix) -> float:
                                    overwrite_a=True, overwrite_b=True)[0])
 
 
-def _checked_pair(value: float, v: np.ndarray, residual: float, iterations: int,
-                  tol_residual: float) -> Eigenpair:
-    if not residual <= tol_residual:
+def _checked_pair(value: float, v: np.ndarray, residual: float,
+                  iterations: int) -> Eigenpair:
+    if not residual <= RESIDUAL_TOL:
         raise SolverFailure(
-            f"eigenpair residual {residual:.3e} above tolerance {tol_residual:.1e}",
+            f"eigenpair residual {residual:.3e} above tolerance {RESIDUAL_TOL:.1e}",
             residual=residual, iterations=iterations)
     return Eigenpair(value=value, vector=v, residual=residual, iterations=iterations)
 
 
-def _lanczos_top(K: DispersalMatrix, d: float, c: np.ndarray,
-                 tol_residual: float) -> Eigenpair:
+def _lanczos_top(K: DispersalMatrix, d: float, c: np.ndarray) -> Eigenpair:
     """Top eigenpair of ``d (K - Id) + diag(c)`` from its products alone.
 
     On equal cells the weights are equal, so the operator is symmetric as
@@ -194,59 +194,54 @@ def _lanczos_top(K: DispersalMatrix, d: float, c: np.ndarray,
                             "operator applications",
                             residual=residual, iterations=applied) from None
     value, v = float(vals[0]), _orient_sup(vecs[:, 0])
-    return _checked_pair(value, v, _residual(K, d, c, value, v), applied,
-                         tol_residual)
+    return _checked_pair(value, v, _residual(K, d, c, value, v), applied)
 
 
-def extreme_eigenpair(K: DispersalMatrix, d: float, c,
-                      tol_residual: float = RESIDUAL_TOL) -> Eigenpair:
+def extreme_eigenpair(K: DispersalMatrix, d: float, c) -> Eigenpair:
     """Top eigenpair of ``d (K - Id) + diag(c)``: Lanczos when K is
     matrix-free, one dense LAPACK eigensolve otherwise.
 
     The eigenvector is returned in node-field coordinates, sup-norm 1 with
     nonnegative orientation, and satisfies
-    ``|d (K v - v) + c v - t v|_inf <= tol_residual``.
+    ``|d (K v - v) + c v - t v|_inf <= RESIDUAL_TOL``.
     """
     c = _reaction_field(K, d, c)
     if K.matrix_free:
-        return _lanczos_top(K, d, c, tol_residual)
+        return _lanczos_top(K, d, c)
     value, y = _eigh_at(_generator(K, d, c), K.n - 1)
     v = _orient_sup(y / np.sqrt(K.grid.weights))
-    return _checked_pair(value, v, _residual(K, d, c, value, v), 1, tol_residual)
+    return _checked_pair(value, v, _residual(K, d, c, value, v), 1)
 
 
-def dispersal_principal_eigenpair(K: DispersalMatrix,
-                                  tol_residual: float = RESIDUAL_TOL) -> Eigenpair:
+def dispersal_principal_eigenpair(K: DispersalMatrix) -> Eigenpair:
     """Principal eigenvalue of the pure Dirichlet dispersal operator.
 
     Returns the smallest eigenvalue of ``Id - K`` (a decay rate in (0, 1))
     together with its positive eigenfunction.
     """
-    top = extreme_eigenpair(K, 1.0, np.zeros(K.n), tol_residual)  # K - Id
+    top = extreme_eigenpair(K, 1.0, np.zeros(K.n))  # K - Id
     return Eigenpair(value=-top.value, vector=top.vector,
                      residual=top.residual, iterations=top.iterations)
 
 
-def infection_growth_rate(K: DispersalMatrix, d_I: float, m,
-                          tol_residual: float = RESIDUAL_TOL) -> Eigenpair:
+def infection_growth_rate(K: DispersalMatrix, d_I: float, m) -> Eigenpair:
     """Principal growth rate of the linearized infection operator
     ``d_I (K - Id) + diag(m)`` with ``m = beta - gamma``.
 
     This is the exact discrete maximum of the associated Rayleigh form;
     its sign decides extinction versus persistence.
     """
-    return extreme_eigenpair(K, d_I, m, tol_residual)
+    return extreme_eigenpair(K, d_I, m)
 
 
-def recovery_spectral_bound(K: DispersalMatrix, d_I: float, gamma,
-                            tol_residual: float = RESIDUAL_TOL) -> float:
+def recovery_spectral_bound(K: DispersalMatrix, d_I: float, gamma) -> float:
     """Spectral bound of the recovery-damped dispersal generator
     ``d_I (K - Id) - diag(gamma)``; strictly negative for positive gamma."""
-    return infection_growth_rate(K, d_I, -_field_values(gamma), tol_residual).value
+    return infection_growth_rate(K, d_I, -_field_values(gamma)).value
 
 
-def basic_reproduction_number(K: DispersalMatrix, d_I: float, beta, gamma,
-                              tol_residual: float = RESIDUAL_TOL) -> Eigenpair:
+def basic_reproduction_number(K: DispersalMatrix, d_I: float, beta,
+                              gamma) -> Eigenpair:
     """Spectral radius of the next-generation operator
     ``diag(beta) (-A)^{-1}`` with ``A = d_I (K - Id) - diag(gamma)``.
 
@@ -279,7 +274,7 @@ def basic_reproduction_number(K: DispersalMatrix, d_I: float, beta, gamma,
     scale = 1.0 / u[np.argmax(np.abs(u))]  # sup-norm 1, dominant entry positive
     u, phi = scale * u, scale * phi
     residual = float(np.max(np.abs(u + value * _apply(K, d_I, c, phi))))
-    return _checked_pair(value, u, residual, 1, tol_residual)
+    return _checked_pair(value, u, residual, 1)
 
 
 @dataclass(frozen=True)

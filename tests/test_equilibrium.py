@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nonlocal_sis import (
+    InvalidArgumentError,
     ModelParams,
     NoEndemicState,
     NoPositiveState,
@@ -15,7 +16,6 @@ from nonlocal_sis import (
     solve_disease_free,
     solve_endemic,
     solve_logistic_stationary,
-    write_field_csv,
 )
 from nonlocal_sis.experiments import random_instance
 
@@ -58,6 +58,11 @@ class TestDiseaseFree:
         with pytest.raises(SolverInconsistency):
             solve_disease_free(two_cell_K, 1.0, np.ones(2))
 
+    def test_nan_residual_is_caught(self, two_cell_K, monkeypatch):
+        monkeypatch.setattr(equilibrium, "_fresh_residual", lambda *args: math.nan)
+        with pytest.raises(SolverInconsistency):
+            solve_disease_free(two_cell_K, 1.0, np.ones(2))
+
 
 def _double_loop_residual(K, d, u, reaction):
     """Reference for ``_fresh_residual``: one ``math.fsum`` per entry pair."""
@@ -79,6 +84,38 @@ def test_fresh_residual_matches_double_loop():
         d = inst.params.d_S
         assert (equilibrium._fresh_residual(K, d, u, reaction)
                 == _double_loop_residual(K, d, u, reaction))
+
+
+ONES = np.ones(2)
+
+# Each call hands one stationary solver an input it must refuse on the
+# two-cell instance (n = 2, d_S = d_I = 1).
+BAD_STATIONARY_INPUTS = {
+    "disease_free-d_S-nan": lambda K, p: solve_disease_free(K, math.nan, ONES),
+    "disease_free-d_S-negative": lambda K, p: solve_disease_free(K, -1.0, ONES),
+    "disease_free-d_S-zero": lambda K, p: solve_disease_free(K, 0.0, ONES),
+    "disease_free-lam-nan": lambda K, p: solve_disease_free(
+        K, 1.0, np.array([1.0, math.nan])),
+    "disease_free-lam-length": lambda K, p: solve_disease_free(K, 1.0, np.ones(3)),
+    "endemic-dfe-length": lambda K, p: solve_endemic(
+        K, p, 2.0 * ONES, 0.5 * ONES, np.full(3, 2.0)),
+    "endemic-dfe-nan": lambda K, p: solve_endemic(
+        K, p, 2.0 * ONES, 0.5 * ONES, np.array([2.0, math.nan])),
+    "endemic-dfe-zero": lambda K, p: solve_endemic(
+        K, p, 2.0 * ONES, 0.5 * ONES, np.array([2.0, 0.0])),
+    "logistic-a-length": lambda K, p: solve_logistic_stationary(
+        K, 1.0, ONES, np.ones(3)),
+    "logistic-a-nan": lambda K, p: solve_logistic_stationary(
+        K, 1.0, ONES, np.array([1.0, math.nan])),
+}
+
+
+@pytest.mark.parametrize("call", BAD_STATIONARY_INPUTS.values(),
+                         ids=BAD_STATIONARY_INPUTS.keys())
+def test_stationary_solvers_reject_invalid_inputs(call, endemic_setup):
+    _, K, _, _, _, params = endemic_setup
+    with pytest.raises(InvalidArgumentError):
+        call(K, params)
 
 
 class TestTwoSidedDriver:
@@ -247,14 +284,6 @@ class TestLogisticStationary:
         logi = solve_logistic_stationary(K, params.d_I, beta.values - gamma.values,
                                          beta.values / dfe.field)
         np.testing.assert_allclose(logi.field, pair.infected, atol=1e-8)
-
-    def test_field_csv_export(self, tmp_path, two_cell_K):
-        res = solve_disease_free(two_cell_K, 1.0, np.ones(2))
-        path = tmp_path / "dfe.csv"
-        write_field_csv(two_cell_K.grid.nodes, res.field, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x,value"
-        assert [float(v) for v in lines[1].split(",")] == [0.25, 2.0]
 
     def test_bracket_and_positivity_random(self):
         rng = np.random.default_rng(33)

@@ -170,6 +170,15 @@ sweep.count = 4
             "SolverFailure: monotone iteration hit the iteration cap "
             "(residual=0.25, iterations=7)"]
 
+    @pytest.mark.parametrize("line, bad", [
+        ("integrator.dt = 0.01", "integrator.dt = nan"),
+        ("integrator.t_end = 80.0", "integrator.t_end = inf")])
+    def test_nonfinite_integrator_setting_reported(self, line, bad):
+        report = run_scenario(parse_config(simulate_config().replace(line, bad)))
+        assert report.status == "error"
+        assert report.errors[0].startswith(
+            "InvalidConfigError: dt and t_end must be finite and positive")
+
     def test_verify_scenario_small(self):
         text = "scenario = verify\nseed = 7\nverify.instances = 8\n"
         report = run_scenario(parse_config(text))
@@ -211,6 +220,35 @@ sweep.count = 4
         lines = sweep.read_text().splitlines()
         assert lines[0] == "d_I,mu_p,r0"
         assert len(lines) == 5
+
+    def test_csv_cells_round_trip(self, tmp_path):
+        report = run_scenario(parse_config(simulate_config(t_end=1.0)))
+        write_report(report, tmp_path / "sim")
+        traj, _ = report.outputs["_trajectory_obj"]
+        expected = [[t] + list(s.S) + list(s.I)
+                    for t, s in zip(traj.times, traj.snapshots)]
+        assert self._cells(tmp_path / "sim" / "trajectory.csv") == [
+            [repr(float(v)) for v in row] for row in expected]
+        norms = zip(traj.times, traj.sup_norm_I, traj.sup_norm_S_minus_target)
+        assert self._cells(tmp_path / "sim" / "norms.csv") == [
+            [repr(float(v)) for v in row] for row in norms]
+
+        text = SPECTRAL_CONFIG.replace("scenario = spectral",
+                                       "scenario = threshold_sweep") + """
+sweep.lo = 0.1
+sweep.hi = 10.0
+sweep.count = 3
+"""
+        report = run_scenario(parse_config(text))
+        write_report(report, tmp_path / "sweep")
+        assert self._cells(tmp_path / "sweep" / "sweep.csv") == [
+            [repr(float(row[k])) for k in ("d_I", "mu_p", "r0")]
+            for row in report.outputs["rows"]]
+
+    @staticmethod
+    def _cells(path):
+        """Data rows of a CSV file as lists of cell strings."""
+        return [line.split(",") for line in path.read_text().splitlines()[1:]]
 
     def test_verify_determinism_byte_identical(self, tmp_path):
         text = "scenario = verify\nseed = 11\nverify.instances = 6\n"
@@ -264,6 +302,18 @@ class TestCli:
         cfg.write_text("scenario = spectral\nmystery = 1\n")
         code = cli_main(["--config", str(cfg)])
         assert code == 2
+
+    def test_non_numeric_table_exits_two(self, tmp_path, capsys):
+        (tmp_path / "beta.csv").write_text("1.5\noops\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SPECTRAL_CONFIG.replace(
+            "beta.family = constant\nbeta.value = 2.0",
+            "beta.family = table\nbeta.path = beta.csv"))
+        assert cli_main(["--config", str(cfg)]) == 2
+        assert "non-numeric entry" in capsys.readouterr().err
+        with pytest.raises(ConfigError) as info:
+            load_config(cfg)
+        assert info.value.key == "beta.path"
 
     def test_missing_config_file(self, tmp_path):
         code = cli_main(["--config", str(tmp_path / "nope.cfg")])

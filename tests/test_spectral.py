@@ -76,9 +76,10 @@ class TestExtremeEigenpair:
         with pytest.raises(SolverFailure):
             extreme_eigenpair(two_cell_K, 1.0, np.zeros(2))
 
-    def test_unreachable_tolerance_raises(self, two_cell_K):
+    def test_unreachable_tolerance_raises(self, two_cell_K, monkeypatch):
+        monkeypatch.setattr(spectral, "RESIDUAL_TOL", 1e-300)
         with pytest.raises(SolverFailure) as info:
-            extreme_eigenpair(two_cell_K, 1.0, np.zeros(2), tol_residual=1e-300)
+            extreme_eigenpair(two_cell_K, 1.0, np.zeros(2))
         assert info.value.residual is not None
 
 
@@ -291,12 +292,13 @@ class TestBasicReproductionNumber:
             basic_reproduction_number(two_cell_K, 1.0, np.ones(2),
                                       np.full(2, -1.0))
 
-    def test_stagnation_reported(self, two_cell_K):
+    def test_stagnation_reported(self, two_cell_K, monkeypatch):
         # spatially varying transmission leaves a roundoff residual that no
         # double-precision eigensolve can push below 1e-300
+        monkeypatch.setattr(spectral, "RESIDUAL_TOL", 1e-300)
         with pytest.raises(SolverFailure) as info:
             basic_reproduction_number(two_cell_K, 1.0, np.array([2.0, 3.0]),
-                                      np.full(2, 0.5), tol_residual=1e-300)
+                                      np.full(2, 0.5))
         assert info.value.residual is not None
 
 
