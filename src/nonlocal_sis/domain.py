@@ -62,9 +62,9 @@ class DomainSpec:
     right: float
 
     def __post_init__(self):
-        if not self.right > self.left:
+        if not -np.inf < self.left < self.right < np.inf:
             raise InvalidArgumentError(
-                f"domain right ({self.right}) must exceed left ({self.left})")
+                f"domain must be finite with right ({self.right}) > left ({self.left})")
 
     @property
     def length(self) -> float:
@@ -135,13 +135,13 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.family in ("tophat", "triangle"):
-            if self.h is None or self.h <= 0:
-                raise InvalidArgumentError(f"{self.family} kernel needs h > 0")
+            if self.h is None or not 0 < self.h < np.inf:
+                raise InvalidArgumentError(f"{self.family} kernel needs finite h > 0")
         elif self.family == "truncated_gaussian":
-            if self.sigma is None or self.sigma <= 0:
-                raise InvalidArgumentError("truncated_gaussian needs sigma > 0")
-            if self.cutoff is None or self.cutoff <= 0:
-                raise InvalidArgumentError("truncated_gaussian needs cutoff > 0")
+            if self.sigma is None or not 0 < self.sigma < np.inf:
+                raise InvalidArgumentError("truncated_gaussian needs finite sigma > 0")
+            if self.cutoff is None or not 0 < self.cutoff < np.inf:
+                raise InvalidArgumentError("truncated_gaussian needs finite cutoff > 0")
         else:
             raise InvalidArgumentError(f"unknown kernel family {self.family!r}")
 
@@ -212,9 +212,10 @@ class CoefficientField:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _readonly(self.values))
-        if np.any(self.values <= 0):
+        if not np.all((0 < self.values) & (self.values < np.inf)):
             raise InvalidCoefficientError(
-                f"coefficient field {self.role or '<unnamed>'} must be strictly positive")
+                f"coefficient field {self.role or '<unnamed>'} must be finite "
+                "and strictly positive")
 
     @property
     def n(self) -> int:
@@ -297,9 +298,9 @@ class ModelParams:
     d_I: float
 
     def __post_init__(self):
-        if self.d_S <= 0 or self.d_I <= 0:
-            raise InvalidArgumentError(
-                f"dispersal rates must be positive, got d_S={self.d_S}, d_I={self.d_I}")
+        if not (0 < self.d_S < np.inf and 0 < self.d_I < np.inf):
+            raise InvalidArgumentError("dispersal rates must be finite and positive, "
+                                       f"got d_S={self.d_S}, d_I={self.d_I}")
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ persistence argument) reuse the same stepping core on single fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,8 +76,9 @@ class IntegratorConfig:
                                      f"got {self.dt} and {self.t_end}")
         if self.method not in ("explicit_euler", "rk4"):
             raise InvalidConfigError(f"unknown method {self.method!r}")
-        if self.snapshot_stride < 1:
-            raise InvalidConfigError("snapshot_stride must be at least 1")
+        if not (isinstance(self.snapshot_stride, (int, np.integer))
+                and self.snapshot_stride >= 1):
+            raise InvalidConfigError("snapshot_stride must be an integer >= 1")
 
 
 def _check_budget(config: IntegratorConfig, max_rate: float,
@@ -90,20 +92,31 @@ def _check_budget(config: IntegratorConfig, max_rate: float,
 
 @dataclass
 class Trajectory:
-    """Snapshots of a full epidemic run with norm histories."""
+    """Recorded states of a full epidemic run with norm histories.
+
+    ``states[k]`` is the stacked ``(S, I)`` pair at ``times[k]``; the norm
+    histories are reductions of that one array.
+    """
 
     times: np.ndarray
-    snapshots: list[State]
+    states: np.ndarray  # shape (n_snapshots, 2, n)
     sup_norm_I: np.ndarray
     sup_norm_S_minus_target: np.ndarray | None
     clip_events: int
     method: str
     dt: float
 
+    @cached_property
+    def snapshots(self) -> list[State]:
+        """One ``State`` per recorded time, built on first access; its
+        ``S`` and ``I`` are views into ``states``."""
+        return [State(S=S, I=I, t=t)
+                for t, (S, I) in zip(self.times.tolist(), self.states)]
+
 
 @dataclass
 class FieldTrajectory:
-    """Snapshots of a single-field auxiliary run."""
+    """Recorded fields of a single-field auxiliary run."""
 
     times: np.ndarray
     fields: np.ndarray  # shape (n_snapshots, n)
@@ -141,42 +154,57 @@ def _rhs_raw(y, d_s, d_i, K, beta, gamma, lam):
     return np.stack([dS, dI])
 
 
-def _step(y: np.ndarray, t: float, dt: float, f, method: str) -> np.ndarray:
+def _step(y: np.ndarray, dt: float, f, method: str) -> np.ndarray:
     if method == "explicit_euler":
-        return y + dt * f(y, t)
-    k1 = f(y, t)
-    k2 = f(y + 0.5 * dt * k1, t + 0.5 * dt)
-    k3 = f(y + 0.5 * dt * k2, t + 0.5 * dt)
-    k4 = f(y + dt * k3, t + dt)
+        return y + dt * f(y)
+    k1 = f(y)
+    k2 = f(y + 0.5 * dt * k1)
+    k3 = f(y + 0.5 * dt * k2)
+    k4 = f(y + dt * k3)
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _run(y0: np.ndarray, config: IntegratorConfig, f, record) -> int:
-    """Shared stepping loop: positivity guard, clipping ledger, snapshots.
+def _sup_distance(fields: np.ndarray, target=0.0) -> np.ndarray:
+    """Sup-norm of ``field - target`` for every field of a stack."""
+    return np.abs(fields - target).max(axis=-1)
 
-    ``record(k, t, y)`` is called at snapshot steps; returns clip events.
+
+def _run(y0: np.ndarray, config: IntegratorConfig,
+         f) -> tuple[np.ndarray, np.ndarray, int]:
+    """Shared stepping loop for the autonomous system ``y' = f(y)``.
+
+    Checks that the initial state is nonnegative, guards positivity at
+    every step (clipping roundoff dips, failing on real ones) and returns
+    ``(times, states, clip_events)``: the states recorded every
+    ``snapshot_stride`` steps and at the last step, stacked along a new
+    first axis, with their times.
     """
+    y = np.array(y0, dtype=float)
+    if np.any(y < 0):
+        raise InvalidStateError("initial state has negative components")
     n_steps = int(round(config.t_end / config.dt))
     if n_steps < 1:
         raise InvalidConfigError("t_end shorter than one step")
-    y = y0.astype(float).copy()
+    recorded = np.append(np.arange(0, n_steps, config.snapshot_stride), n_steps)
+    states = np.empty((recorded.size,) + y.shape)
+    states[0] = y
+    row = 1
     clip_events = 0
-    record(0, 0.0, y)
     for k in range(1, n_steps + 1):
-        t = (k - 1) * config.dt
-        y = _step(y, t, config.dt, f, config.method)
+        y = _step(y, config.dt, f, config.method)
         if not np.all(np.isfinite(y)):
-            raise IntegrationFailure(f"non-finite state at t={t + config.dt:.6g}")
+            raise IntegrationFailure(f"non-finite state at t={k * config.dt:.6g}")
         lowest = float(y.min())
         if lowest < -NEGATIVE_TOL:
             raise IntegrationFailure(
-                f"state dipped to {lowest:.3e} at t={t + config.dt:.6g}")
+                f"state dipped to {lowest:.3e} at t={k * config.dt:.6g}")
         if lowest < 0.0:
             clip_events += int(np.sum(y < 0.0))
             y = np.maximum(y, 0.0)
-        if k % config.snapshot_stride == 0 or k == n_steps:
-            record(k, k * config.dt, y)
-    return clip_events
+        if k == recorded[row]:
+            states[row] = y
+            row += 1
+    return recorded * config.dt, states, clip_events
 
 
 def integrate(state0: State, config: IntegratorConfig, params, K: DispersalMatrix,
@@ -187,50 +215,29 @@ def integrate(state0: State, config: IntegratorConfig, params, K: DispersalMatri
     trajectory records the sup-distance of S to it alongside the
     sup-norm of I at every snapshot.
     """
-    if np.any(state0.S < 0) or np.any(state0.I < 0):
-        raise InvalidStateError("initial state has negative components")
     beta_v, gamma_v = _field_values(beta), _field_values(gamma)
     lam_v = _field_values(lam)
     _check_budget(config, max(params.d_S, params.d_I),
                   float(beta_v.max()), float(gamma_v.max()))
 
-    def f(y, t):
+    def f(y):
         return _rhs_raw(y, params.d_S, params.d_I, K, beta_v, gamma_v, lam_v)
 
-    times, snaps, norm_i, norm_s = [], [], [], []
-
-    def record(k, t, y):
-        times.append(t)
-        snaps.append(State(S=y[0].copy(), I=y[1].copy(), t=t))
-        norm_i.append(float(np.max(np.abs(y[1]))))
-        if s_target is not None:
-            norm_s.append(float(np.max(np.abs(y[0] - s_target))))
-
-    y0 = np.vstack([state0.S, state0.I])
-    clip_events = _run(y0, config, f, record)
-    return Trajectory(times=np.array(times), snapshots=snaps,
-                      sup_norm_I=np.array(norm_i),
-                      sup_norm_S_minus_target=(np.array(norm_s)
-                                               if s_target is not None else None),
+    times, states, clip_events = _run(np.stack([state0.S, state0.I]), config, f)
+    return Trajectory(times=times, states=states,
+                      sup_norm_I=_sup_distance(states[:, 1]),
+                      sup_norm_S_minus_target=(None if s_target is None else
+                                               _sup_distance(states[:, 0], s_target)),
                       clip_events=clip_events, method=config.method, dt=config.dt)
 
 
 def _integrate_field(w0: np.ndarray, config: IntegratorConfig, f,
                      target: np.ndarray | None) -> FieldTrajectory:
-    times, fields, norms, norms_target = [], [], [], []
-
-    def record(k, t, y):
-        times.append(t)
-        fields.append(y.copy())
-        norms.append(float(np.max(np.abs(y))))
-        if target is not None:
-            norms_target.append(float(np.max(np.abs(y - target))))
-
-    clip_events = _run(np.asarray(w0, dtype=float), config, f, record)
-    return FieldTrajectory(times=np.array(times), fields=np.array(fields),
-                           sup_norm=np.array(norms),
-                           sup_norm_minus_target=(np.array(norms_target)
-                                                  if target is not None else None),
+    times, fields, clip_events = _run(w0, config, f)
+    return FieldTrajectory(times=times, fields=fields,
+                           sup_norm=_sup_distance(fields),
+                           sup_norm_minus_target=(None if target is None else
+                                                  _sup_distance(fields, target)),
                            clip_events=clip_events, method=config.method,
                            dt=config.dt)
 
@@ -240,14 +247,11 @@ def integrate_linear_infection(w0: np.ndarray, config: IntegratorConfig,
                                gamma) -> FieldTrajectory:
     """Linear majorant of the infected compartment:
     ``dw/dt = d_I (K w - w) + (beta - gamma) w``."""
-    w0 = np.asarray(w0, dtype=float)
-    if np.any(w0 < 0):
-        raise InvalidStateError("initial field has negative components")
     beta_v, gamma_v = _field_values(beta), _field_values(gamma)
     _check_budget(config, d_I, float(beta_v.max()), float(gamma_v.max()))
     m = beta_v - gamma_v
 
-    def f(y, t):
+    def f(y):
         return d_I * (K.matvec(y) - y) + m * y
 
     return _integrate_field(w0, config, f, None)
@@ -258,13 +262,10 @@ def integrate_total_population(v0: np.ndarray, config: IntegratorConfig,
                                target: np.ndarray | None = None) -> FieldTrajectory:
     """Total-population balance for equal dispersal rates:
     ``dV/dt = d (K V - V) + lam``."""
-    v0 = np.asarray(v0, dtype=float)
-    if np.any(v0 < 0):
-        raise InvalidStateError("initial field has negative components")
     lam_v = _field_values(lam)
     _check_budget(config, d, 0.0, 0.0)
 
-    def f(y, t):
+    def f(y):
         return d * (K.matvec(y) - y) + lam_v
 
     return _integrate_field(v0, config, f, target)
@@ -274,15 +275,13 @@ def integrate_logistic(u0: np.ndarray, config: IntegratorConfig, d: float,
                        K: DispersalMatrix, b, a) -> FieldTrajectory:
     """Nonlocal logistic problem ``du/dt = d (K u - u) + b u - a u^2``."""
     u0 = np.asarray(u0, dtype=float)
-    if np.any(u0 < 0):
-        raise InvalidStateError("initial field has negative components")
     b_v, a_v = _field_values(b), _field_values(a)
     # budget: the damping slope on [0, u_max] plays the role of the rates
     u_cap = max(float(u0.max()), float(np.max(b_v) / np.min(a_v)))
     _check_budget(config, d, float(np.max(np.abs(b_v))),
                   float(np.max(a_v)) * u_cap)
 
-    def f(y, t):
+    def f(y):
         return d * (K.matvec(y) - y) + b_v * y - a_v * y * y
 
     return _integrate_field(u0, config, f, None)
@@ -340,14 +339,9 @@ def check_convergence(trajectory: Trajectory, s_target: np.ndarray | None = None
     stays within ``tol`` through the end of the run; None if never."""
     if s_target is None and i_target is None:
         raise InvalidArgumentError("need at least one target")
-    dist = np.zeros(len(trajectory.snapshots))
-    for k, snap in enumerate(trajectory.snapshots):
-        d = 0.0
-        if s_target is not None:
-            d = max(d, float(np.max(np.abs(snap.S - s_target))))
-        if i_target is not None:
-            d = max(d, float(np.max(np.abs(snap.I - i_target))))
-        dist[k] = d
+    dist = np.max([_sup_distance(trajectory.states[:, k], target)
+                   for k, target in enumerate((s_target, i_target))
+                   if target is not None], axis=0)
     inside = dist <= tol
     if not inside[-1]:
         return None

@@ -75,7 +75,6 @@ class EquilibriumResult:
     bracket_low: np.ndarray
     bracket_high: np.ndarray
     converged_from: str
-    clamp_events: int = 0
     monotone_defect: float = 0.0
 
     def to_dict(self) -> dict:
@@ -89,15 +88,13 @@ class EquilibriumResult:
 
 @dataclass(frozen=True)
 class EndemicPair:
-    """Positive endemic steady state alongside the disease-free profile."""
+    """Positive endemic steady state with its solve diagnostics."""
 
     susceptible: np.ndarray
     infected: np.ndarray
-    disease_free: np.ndarray
     residual: float
     iterations: int
     bracket_gap: float
-    clamp_events: int = 0
     monotone_defect: float = 0.0
 
     def to_dict(self) -> dict:
@@ -175,15 +172,14 @@ def _two_sided_solve(K: DispersalMatrix, d: float,
     it and downward from the supersolution ``high``.  Each step evaluates
     ``F`` once: the values of the residual test are the next increment.
     Iterates are clamped to the nonnegative part of the bracket (a no-op in
-    exact arithmetic) and clamp events are counted.  ``monotone_defect``
-    records the largest movement against the expected direction, which
-    should be at roundoff level for a valid relaxation constant.
+    exact arithmetic).  ``monotone_defect`` records the largest movement
+    against the expected direction, which should be at roundoff level for
+    a valid relaxation constant.
     """
     def F(u: np.ndarray) -> np.ndarray:
         return d * (K.matvec(u) - u) + reaction(u)
 
     sub = _subsolution_scale(F, psi, cap) * psi
-    clamp_events = 0
     monotone_defect = 0.0
     limits: list[np.ndarray] = []
     total_iters = 0
@@ -203,7 +199,6 @@ def _two_sided_solve(K: DispersalMatrix, d: float,
             monotone_defect = max(monotone_defect,
                                   float(np.max(-direction * moved, initial=0.0)))
             clipped = np.clip(nxt, floor, high)
-            clamp_events += int(np.sum(clipped != nxt))
             step = float(np.max(np.abs(clipped - u)))
             u = clipped
             iterations += 1
@@ -228,8 +223,7 @@ def _two_sided_solve(K: DispersalMatrix, d: float,
     result = EquilibriumResult(
         field=u, residual=_fresh_residual(K, d, u, reaction(u)),
         iterations=total_iters, bracket_low=sub, bracket_high=high,
-        converged_from="both", clamp_events=clamp_events,
-        monotone_defect=monotone_defect)
+        converged_from="both", monotone_defect=monotone_defect)
     return result, gap
 
 
@@ -281,10 +275,8 @@ def solve_endemic(K: DispersalMatrix, params: ModelParams, beta, gamma,
     infected = res.field
     susceptible = (d_s * dfe - d_i * infected) / d_s
     return EndemicPair(susceptible=susceptible, infected=infected,
-                       disease_free=dfe, residual=res.residual,
-                       iterations=res.iterations, bracket_gap=gap,
-                       clamp_events=res.clamp_events,
-                       monotone_defect=res.monotone_defect)
+                       residual=res.residual, iterations=res.iterations,
+                       bracket_gap=gap, monotone_defect=res.monotone_defect)
 
 
 def solve_logistic_stationary(K: DispersalMatrix, d: float, b, a) -> EquilibriumResult:

@@ -1,7 +1,8 @@
 """Configuration-driven scenario runner with machine-readable reports.
 
 Configs are flat ``key = value`` text with dotted sections and ``#``
-comments.  Recognized keys (see README for the full reference):
+comments.  Each key's value is text, an integer or a number, checked by
+``make_config``.  Recognized keys (see README for the full reference):
 
     scenario                 spectral | equilibrium | simulate |
                              threshold_sweep | verify
@@ -128,26 +129,30 @@ def parse_config(text: str, base_dir=None) -> ExperimentConfig:
         if key in entries:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}",
                               line=lineno, key=key)
-        entries[key] = _parse_scalar(raw)
+        entries[key] = raw if _key_type(key) is str else _parse_scalar(raw)
 
     return make_config(entries, base_dir)
 
 
 def make_config(entries: dict, base_dir=None) -> ExperimentConfig:
-    """Validate parsed entries into a config (also used for overrides)."""
+    """Validate parsed entries into a config (also used for overrides).
+
+    Every value must have its key's type: text, an integer, or a number
+    (an integer or a float)."""
     base_dir = Path(base_dir) if base_dir is not None else Path.cwd()
-    _check_keys(entries)
+    for key, value in entries.items():
+        kind = _key_type(key)
+        if not isinstance(value, (int, float) if kind is float else kind):
+            raise ConfigError(f"{key!r} must be {_TYPE_NAMES[kind]}, got {value!r}",
+                              key=key)
     scenario = entries.get("scenario")
     if scenario is None:
         raise ConfigError("missing required key 'scenario'", key="scenario")
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}", key="scenario")
-    seed = entries.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("'seed' must be an integer", key="seed")
 
-    config = ExperimentConfig(scenario=scenario, seed=seed, entries=entries,
-                              base_dir=base_dir,
+    config = ExperimentConfig(scenario=scenario, seed=entries.get("seed", 0),
+                              entries=entries, base_dir=base_dir,
                               output_dir=entries.get("output.dir"))
     _validate_semantics(config)
     return config
@@ -159,29 +164,33 @@ def load_config(path) -> ExperimentConfig:
 
 
 _SIMPLE_KEYS = {
-    "scenario", "seed", "output.dir",
-    "domain.left", "domain.right", "grid.n",
-    "kernel.family", "kernel.h", "kernel.sigma", "kernel.cutoff",
-    "d_S", "d_I",
-    "integrator.dt", "integrator.method", "integrator.t_end",
-    "integrator.snapshot_stride",
-    "simulate.tol",
-    "sweep.lo", "sweep.hi", "sweep.count", "sweep.spacing",
-    "verify.instances", "verify.n_max",
+    "scenario": str, "seed": int, "output.dir": str,
+    "domain.left": float, "domain.right": float, "grid.n": int,
+    "kernel.family": str, "kernel.h": float, "kernel.sigma": float,
+    "kernel.cutoff": float,
+    "d_S": float, "d_I": float,
+    "integrator.dt": float, "integrator.method": str, "integrator.t_end": float,
+    "integrator.snapshot_stride": int,
+    "simulate.tol": float,
+    "sweep.lo": float, "sweep.hi": float, "sweep.count": int,
+    "sweep.spacing": str,
+    "verify.instances": int, "verify.n_max": int,
 }
+_TYPE_NAMES = {str: "text", int: "an integer", float: "a number"}
 
 _FIELD_PREFIXES = ("beta", "gamma", "lambda", "init.s", "init.i")
 _FIELD_NAMES = {"family"}.union(*_FIELD_KEYS.values())
 
 
-def _check_keys(entries: dict) -> None:
-    for key in entries:
-        if key in _SIMPLE_KEYS:
-            continue
-        prefix, _, tail = key.rpartition(".")
-        if prefix in _FIELD_PREFIXES and tail in _FIELD_NAMES:
-            continue
-        raise ConfigError(f"unknown key {key!r}", key=key)
+def _key_type(key: str) -> type:
+    """Type of the value a key holds: ``str``, ``int`` or ``float``; an
+    unknown key raises ``ConfigError``."""
+    if key in _SIMPLE_KEYS:
+        return _SIMPLE_KEYS[key]
+    prefix, _, tail = key.rpartition(".")
+    if prefix in _FIELD_PREFIXES and tail in _FIELD_NAMES:
+        return str if tail in ("family", "path") else float
+    raise ConfigError(f"unknown key {key!r}", key=key)
 
 
 def _require(config: ExperimentConfig, key: str):
@@ -206,7 +215,7 @@ def _field_spec(config: ExperimentConfig, prefix: str, n: int) -> FieldSpec:
                               key=f"{prefix}.{name}")
         params.append(value)
     if family == "table":
-        path = config.base_dir / str(params[0])
+        path = config.base_dir / params[0]
         if not path.exists():
             raise ConfigError(f"table for {prefix!r} not found: {path}",
                               key=f"{prefix}.path")
@@ -228,7 +237,7 @@ def _validate_semantics(config: ExperimentConfig) -> None:
     for key in ("domain.left", "domain.right", "grid.n", "kernel.family",
                 "d_S", "d_I"):
         _require(config, key)
-    n = int(_require(config, "grid.n"))
+    n = _require(config, "grid.n")
     family = config.get("kernel.family")
     if family in ("tophat", "triangle"):
         _require(config, "kernel.h")
@@ -245,8 +254,15 @@ def _validate_semantics(config: ExperimentConfig) -> None:
         for prefix in ("init.s", "init.i"):
             _field_spec(config, prefix, n)
     if config.scenario == "threshold_sweep":
-        for key in ("sweep.lo", "sweep.hi", "sweep.count"):
-            _require(config, key)
+        lo, hi, count = (_require(config, key)
+                         for key in ("sweep.lo", "sweep.hi", "sweep.count"))
+        if not (0 < lo < hi) or count < 2:
+            raise ConfigError("sweep needs 0 < lo < hi and count >= 2",
+                              key="sweep.lo")
+        spacing = config.get("sweep.spacing", "log")
+        if spacing not in ("log", "linear"):
+            raise ConfigError(f"unknown sweep spacing {spacing!r}",
+                              key="sweep.spacing")
 
 
 @dataclass
@@ -273,7 +289,7 @@ class Instance:
 def _build_instance(config: ExperimentConfig) -> Instance:
     domain = DomainSpec(float(_require(config, "domain.left")),
                         float(_require(config, "domain.right")))
-    grid = build_grid(int(_require(config, "grid.n")), domain)
+    grid = build_grid(_require(config, "grid.n"), domain)
     family = config.get("kernel.family")
     if family == "tophat":
         kernel = KernelSpec.tophat(float(config.get("kernel.h")))
@@ -329,8 +345,8 @@ def _integrator_config(config: ExperimentConfig) -> IntegratorConfig:
     return IntegratorConfig(
         dt=float(_require(config, "integrator.dt")),
         t_end=float(_require(config, "integrator.t_end")),
-        method=str(config.get("integrator.method", "rk4")),
-        snapshot_stride=int(config.get("integrator.snapshot_stride", 1)),
+        method=config.get("integrator.method", "rk4"),
+        snapshot_stride=config.get("integrator.snapshot_stride", 1),
     )
 
 
@@ -344,8 +360,8 @@ def run_scenario(config: ExperimentConfig) -> RunReport:
         if config.scenario == "verify":
             outputs = run_verify_suite(
                 seed=config.seed,
-                instances=int(config.get("verify.instances", 200)),
-                n_max=int(config.get("verify.n_max", 64)),
+                instances=config.get("verify.instances", 200),
+                n_max=config.get("verify.n_max", 64),
             )
             if outputs["failed"] > 0:
                 errors.append(f"{outputs['failed']} verify properties failed")
@@ -442,18 +458,9 @@ def _run_simulate(config: ExperimentConfig, inst: Instance, K) -> dict:
 
 
 def _run_sweep(config: ExperimentConfig, inst: Instance, K) -> dict:
-    lo = float(config.get("sweep.lo"))
-    hi = float(config.get("sweep.hi"))
-    count = int(config.get("sweep.count"))
-    spacing = str(config.get("sweep.spacing", "log"))
-    if not (0 < lo < hi) or count < 2:
-        raise ConfigError("sweep needs 0 < lo < hi and count >= 2", key="sweep.lo")
-    if spacing == "log":
-        rates = np.geomspace(lo, hi, count)
-    elif spacing == "linear":
-        rates = np.linspace(lo, hi, count)
-    else:
-        raise ConfigError(f"unknown sweep spacing {spacing!r}", key="sweep.spacing")
+    lo, hi = float(config.get("sweep.lo")), float(config.get("sweep.hi"))
+    log = config.get("sweep.spacing", "log") == "log"
+    rates = (np.geomspace if log else np.linspace)(lo, hi, config.get("sweep.count"))
 
     rows = []
     for d in rates:
@@ -609,11 +616,11 @@ def write_report(report: RunReport, out_dir) -> list[Path]:
     if report.scenario == "simulate" and packed is not None:
         traj, nodes = packed  # _run_simulate always records |S - target|
         n = len(nodes)
+        rows = traj.states.reshape(len(traj.times), 2 * n)  # S then I per row
         paths.append(_write_csv(
             out_dir / "trajectory.csv",
             ["t"] + [f"S_x{i}" for i in range(n)] + [f"I_x{i}" for i in range(n)],
-            ([t] + snap.S.tolist() + snap.I.tolist()
-             for t, snap in zip(traj.times.tolist(), traj.snapshots))))
+            ([t] + row.tolist() for t, row in zip(traj.times.tolist(), rows))))
         paths.append(_write_csv(
             out_dir / "norms.csv", ["t", "sup_norm_I", "sup_norm_S_minus_target"],
             np.column_stack([traj.times, traj.sup_norm_I,

@@ -255,3 +255,21 @@ class TestModelParams:
         f = CoefficientField(np.array([1.0, 2.0]), role="beta")
         assert f.role == "beta"
         assert f.n == 2
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ModelParams(d_S=np.nan, d_I=1.0),
+    lambda: ModelParams(d_S=np.inf, d_I=1.0),
+    lambda: CoefficientField(np.array([1.0, np.nan])),
+    lambda: CoefficientField(np.array([1.0, np.inf])),
+    lambda: KernelSpec.tophat(np.nan),
+    lambda: KernelSpec.tophat(np.inf),
+    lambda: KernelSpec.truncated_gaussian(np.nan, 1.0),
+    lambda: DomainSpec(0.0, np.inf),
+    lambda: DomainSpec(-np.inf, 0.0),
+], ids=["d_S-nan", "d_S-inf", "field-nan", "field-inf", "tophat-nan",
+        "tophat-inf", "gaussian-sigma-nan", "domain-right-inf",
+        "domain-left-inf"])
+def test_nonfinite_parameters_rejected(make):
+    with pytest.raises((InvalidArgumentError, InvalidCoefficientError)):
+        make()

@@ -3,6 +3,7 @@ import pytest
 
 from nonlocal_sis import (
     IntegratorConfig,
+    InvalidArgumentError,
     InvalidConfigError,
     InvalidStateError,
     InvalidWindowError,
@@ -63,6 +64,11 @@ class TestIntegrate:
         with pytest.raises(InvalidConfigError):
             integrate(State(S=np.ones(2), I=np.ones(2)), cfg, params, K,
                       beta, gamma, lam)
+
+    @pytest.mark.parametrize("stride", [0, 2.5])
+    def test_snapshot_stride_must_be_positive_integer(self, stride):
+        with pytest.raises(InvalidConfigError):
+            IntegratorConfig(dt=0.01, t_end=1.0, snapshot_stride=stride)
 
     def test_zero_infection_stays_zero(self, endemic_setup):
         grid, K, beta, gamma, lam, params = endemic_setup
@@ -298,3 +304,93 @@ def test_step_halving_stability(endemic_setup):
         finals.append(np.concatenate([traj.snapshots[-1].S,
                                       traj.snapshots[-1].I]))
     assert np.max(np.abs(finals[0] - finals[1])) < 0.1 * 1e-4
+
+
+@pytest.mark.parametrize("integrator", ["integrate", "linear_infection",
+                                        "total_population", "logistic"])
+def test_negative_initial_data_rejected(endemic_setup, integrator):
+    grid, K, beta, gamma, lam, params = endemic_setup
+    cfg = IntegratorConfig(dt=0.01, t_end=1.0)
+    w = np.array([-0.1, 1.0])
+    runs = {
+        "integrate": lambda: integrate(State(S=np.ones(2), I=w), cfg, params,
+                                       K, beta, gamma, lam),
+        "linear_infection": lambda: integrate_linear_infection(w, cfg, 1.0, K,
+                                                               beta, gamma),
+        "total_population": lambda: integrate_total_population(w, cfg, 1.0, K,
+                                                               lam),
+        "logistic": lambda: integrate_logistic(w, cfg, 1.0, K,
+                                               beta.values - gamma.values,
+                                               np.ones(2)),
+    }
+    with pytest.raises(InvalidStateError):
+        runs[integrator]()
+
+
+def _loop_norms(traj, s_target):
+    """Norm histories computed snapshot by snapshot."""
+    norm_i = np.array([float(np.max(np.abs(s.I))) for s in traj.snapshots])
+    if s_target is None:
+        return norm_i, None
+    return norm_i, np.array([float(np.max(np.abs(s.S - s_target)))
+                             for s in traj.snapshots])
+
+
+def _loop_convergence(traj, s_target, i_target, tol):
+    """check_convergence written as a loop over snapshots."""
+    dist = np.zeros(len(traj.snapshots))
+    for k, snap in enumerate(traj.snapshots):
+        d = 0.0
+        if s_target is not None:
+            d = max(d, float(np.max(np.abs(snap.S - s_target))))
+        if i_target is not None:
+            d = max(d, float(np.max(np.abs(snap.I - i_target))))
+        dist[k] = d
+    inside = dist <= tol
+    if not inside[-1]:
+        return None
+    above = np.nonzero(~inside)[0]
+    first = 0 if above.size == 0 else above[-1] + 1
+    return float(traj.times[first])
+
+
+@pytest.mark.parametrize("s_given", [True, False])
+@pytest.mark.parametrize("i_given", [True, False])
+def test_stack_reductions_match_snapshot_loop(endemic_setup, s_given, i_given):
+    grid, K, beta, gamma, lam, params = endemic_setup
+    dfe = solve_disease_free(K, 1.0, lam)
+    pair = solve_endemic(K, params, beta, gamma, dfe.field)
+    s_target = pair.susceptible if s_given else None
+    i_target = pair.infected if i_given else None
+    cfg = IntegratorConfig(dt=0.01, t_end=40.0, snapshot_stride=7)
+    traj = integrate(State(S=np.array([2.0, 1.5]), I=np.array([0.1, 0.3])),
+                     cfg, params, K, beta, gamma, lam, s_target=s_target)
+
+    norm_i, norm_s = _loop_norms(traj, s_target)
+    np.testing.assert_array_equal(traj.sup_norm_I, norm_i)
+    if s_target is None:
+        assert traj.sup_norm_S_minus_target is None
+    else:
+        np.testing.assert_array_equal(traj.sup_norm_S_minus_target, norm_s)
+
+    if s_target is None and i_target is None:
+        with pytest.raises(InvalidArgumentError):
+            check_convergence(traj)
+        return
+    for tol in (1e-2, 1e-4, 1e-13):
+        assert (check_convergence(traj, s_target, i_target, tol)
+                == _loop_convergence(traj, s_target, i_target, tol))
+
+
+def test_snapshots_are_views_into_the_stack(endemic_setup):
+    grid, K, beta, gamma, lam, params = endemic_setup
+    cfg = IntegratorConfig(dt=0.01, t_end=1.05, snapshot_stride=10)
+    traj = integrate(State(S=np.ones(2), I=np.full(2, 0.5)), cfg, params, K,
+                     beta, gamma, lam)
+    assert traj.states.shape == (len(traj.times), 2, 2)
+    assert traj.snapshots is traj.snapshots
+    for k, snap in enumerate(traj.snapshots):
+        assert snap.t == traj.times[k]
+        assert np.shares_memory(snap.S, traj.states)
+        np.testing.assert_array_equal(snap.S, traj.states[k, 0])
+        np.testing.assert_array_equal(snap.I, traj.states[k, 1])

@@ -1,4 +1,6 @@
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from nonlocal_sis import (
     write_report,
 )
 from nonlocal_sis.cli import main as cli_main
-from nonlocal_sis.experiments import load_config, run_verify_suite
+from nonlocal_sis.experiments import load_config, make_config, run_verify_suite
 
 SPECTRAL_CONFIG = """
 # the hand-checkable two-cell instance
@@ -43,6 +45,15 @@ init.s.family = constant
 init.s.value = 2.0
 init.i.family = constant
 init.i.value = 0.1
+"""
+
+
+SWEEP_CONFIG = SPECTRAL_CONFIG.replace("scenario = spectral",
+                                      "scenario = threshold_sweep") + """
+sweep.lo = 0.1
+sweep.hi = 10.0
+sweep.count = 4
+sweep.spacing = log
 """
 
 
@@ -83,6 +94,37 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as info:
             parse_config(text, base_dir=tmp_path)
         assert "beta" in str(info.value)
+
+    @pytest.mark.parametrize("line, bad, key", [
+        ("kernel.h = 1.0", "kernel.h = abc", "kernel.h"),
+        ("grid.n = 2", "grid.n = abc", "grid.n"),
+        ("beta.value = 2.0", "beta.value = abc", "beta.value"),
+        ("d_S = 1.0", "d_S = abc", "d_S"),
+        ("grid.n = 2", "grid.n = 2.7", "grid.n"),
+        ("seed = 7", "seed = 7.5", "seed"),
+        ("sweep.spacing = log", "sweep.spacing = cubic", "sweep.spacing"),
+        ("sweep.lo = 0.1", "sweep.lo = 20.0", "sweep.lo"),
+        ("sweep.count = 4", "sweep.count = 1", "sweep.lo"),
+    ])
+    def test_bad_value_exits_two(self, tmp_path, line, bad, key):
+        text = SWEEP_CONFIG.replace(line, bad)
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert info.value.key == key
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert cli_main(["--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert not (tmp_path / "report.json").exists()
+
+    def test_values_typed_by_key(self):
+        config = parse_config(SWEEP_CONFIG + "output.dir = 2024\n")
+        assert config.output_dir == "2024"
+        assert config.get("sweep.count") == 4
+        assert config.get("d_S") == 1.0
+        entries = dict(config.entries, seed="7")
+        with pytest.raises(ConfigError) as info:
+            make_config(entries)
+        assert info.value.key == "seed"
 
     def test_table_accepted_when_consistent(self, tmp_path):
         (tmp_path / "beta.csv").write_text("1.5\n2.5\n")
@@ -329,3 +371,51 @@ def test_load_config_resolves_tables_relative_to_file(tmp_path):
     config = load_config(cfg)
     report = run_scenario(config)
     assert report.ok
+
+
+PERSISTENCE_N64 = """
+scenario = simulate
+domain.left = 0.0
+domain.right = 1.0
+grid.n = 64
+kernel.family = triangle
+kernel.h = 0.5
+beta.family = bump
+beta.base = 1.0
+beta.amp = 3.0
+beta.center = 0.5
+beta.width = 0.2
+gamma.family = constant
+gamma.value = 0.9
+lambda.family = constant
+lambda.value = 1.0
+d_S = 1.0
+d_I = 1.0
+integrator.dt = 0.05
+integrator.t_end = 80.0
+integrator.snapshot_stride = 10
+init.s.family = constant
+init.s.value = 1.0
+init.i.family = constant
+init.i.value = 0.1
+"""
+
+
+def test_simulate_result_retains_little_beyond_its_snapshots():
+    # the recorded states are one stacked array: a kept result costs little
+    # more than the snapshot data itself
+    config = parse_config(PERSISTENCE_N64)
+    run_scenario(config)  # first run pays for lazy imports and caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report = run_scenario(config)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert report.outputs["convergence"]["regime"] == "persistence"
+    traj, nodes = report.outputs["_trajectory_obj"]
+    snapshot_bytes = traj.times.size * 2 * len(nodes) * 8
+    assert retained <= 1.2 * snapshot_bytes
