@@ -1,13 +1,15 @@
-"""Disease-free equilibrium by one direct solve, endemic by two-sided
-monotone iteration.
+"""Disease-free equilibrium by one direct solve, endemic by monotone
+iteration from below and monotone Newton from above.
 
 The disease-free profile solves a linear balance (one direct solve,
 certified by a compensated residual).  The endemic profile comes
 from the reduced scalar problem after eliminating the susceptibles through
-the conserved combination d_S*S + d_I*I; the solver iterates upward from a
-small multiple of the principal eigenvector and downward from the explicit
-supersolution (d_S/d_I) * disease_free, and both limits must agree, which
-is exactly the uniqueness statement.
+the conserved combination d_S*S + d_I*I; the solver runs relaxed monotone
+steps upward from a small multiple of the principal eigenvector and
+Newton steps downward from the explicit supersolution
+(d_S/d_I) * disease_free, and both limits must agree, which is exactly the
+uniqueness statement.  The reported iterations are the relaxed steps plus
+the Newton steps.
 """
 
 import numpy as np

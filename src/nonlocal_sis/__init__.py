@@ -4,7 +4,8 @@ hostile exterior.
 The package discretizes the model on a midpoint quadrature grid, computes
 its threshold quantities (principal eigenvalues, spectral bounds, the basic
 reproduction number), solves for the disease-free equilibrium directly and
-for the endemic one by two-sided monotone iteration, and time-integrates the
+for the endemic one by monotone iteration from below and monotone Newton
+from above, and time-integrates the
 dynamics to check extinction and persistence against those predictions.
 Report files are written by ``write_report`` alone.
 """

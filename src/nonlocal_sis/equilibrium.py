@@ -6,13 +6,15 @@ matrix-free), certified by a compensated residual that does not share the
 solve's path.
 
 The endemic state and the logistic stationary state differ only in their
-reaction term, relaxation constant and bracket; one driver solves both by
-the classical two-sided monotone scheme: iterate ``u <- u + F(u)/rho`` with a
-relaxation constant ``rho`` large enough that the map is order-preserving
-on the bracket, once upward from a small multiple of the principal
-eigenvector (a subsolution) and once downward from an explicit
-supersolution, with one evaluation of ``F`` per step.  Both limits must
-agree, which is exactly the uniqueness statement for these problems.
+reaction term and its slope, relaxation constant and bracket; one driver
+solves both from two sides.  From below it iterates the classical relaxed
+monotone map ``u <- u + F(u)/rho``, with a relaxation constant ``rho`` large
+enough that the map is order-preserving on the bracket, upward from a small
+multiple of the principal eigenvector (a subsolution), with one evaluation
+of ``F`` per step.  From above it runs Newton's method from an explicit
+supersolution; both reactions are concave, so the Newton iterates decrease
+monotonically to the root.  Both limits must agree, which is exactly the
+uniqueness statement for these problems.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ AGREEMENT_TOL = 1e-8
 RESIDUAL_TARGET = 1e-11
 STALL_STEP = 1e-14
 ITERATION_CAP = 100_000
+NEWTON_CAP = 50
 GROWTH_ZERO = 1e-10
 
 
@@ -160,57 +163,54 @@ def _subsolution_scale(F: Callable[[np.ndarray], np.ndarray], psi: np.ndarray,
 
 
 def _two_sided_solve(K: DispersalMatrix, d: float,
-                     reaction: Callable[[np.ndarray], np.ndarray], rho: float,
+                     reaction: Callable[[np.ndarray], np.ndarray],
+                     slope: Callable[[np.ndarray], np.ndarray], rho: float,
                      high: np.ndarray, psi: np.ndarray,
                      cap: float) -> tuple[EquilibriumResult, float]:
     """Positive root of ``F(u) = d (K u - u) + reaction(u)`` in the bracket
-    ``[eps * psi, high]``; returns the midpoint of the two limits and their
-    gap.
+    ``[eps * psi, high]``; returns the limit from above and its gap to the
+    limit from below.
 
     ``eps <= cap`` is the largest halving of ``cap`` that makes ``eps * psi``
     a subsolution.  The relaxed map ``u <- u + F(u)/rho`` runs upward from
-    it and downward from the supersolution ``high``.  Each step evaluates
-    ``F`` once: the values of the residual test are the next increment.
-    Iterates are clamped to the nonnegative part of the bracket (a no-op in
-    exact arithmetic).  ``monotone_defect`` records the largest movement
-    against the expected direction, which should be at roundoff level for
-    a valid relaxation constant.
+    it, evaluating ``F`` once per step: the values of the residual test are
+    the next increment.  Newton's method runs downward from the
+    supersolution ``high`` (see ``_monotone_newton``).  Iterates of both are
+    clamped to ``[max(sub, 0), high]`` (a no-op in exact arithmetic).
+    ``monotone_defect`` records the largest movement against the expected
+    direction, which should be at roundoff level.  ``iterations`` counts
+    the relaxed steps and the Newton steps.
     """
     def F(u: np.ndarray) -> np.ndarray:
         return d * (K.matvec(u) - u) + reaction(u)
 
     sub = _subsolution_scale(F, psi, cap) * psi
+    floor = np.maximum(sub, 0.0)
+    up = sub
+    relaxed = 0
     monotone_defect = 0.0
-    limits: list[np.ndarray] = []
-    total_iters = 0
-    for start, direction in ((sub, +1.0), (high, -1.0)):
-        floor = np.maximum(sub, 0.0) if direction > 0 else 0.0
-        u = start.astype(float).copy()
-        iterations = 0
-        values = F(u)
+    values = F(up)
+    residual = float(np.max(np.abs(values)))
+    while residual > RESIDUAL_TARGET:
+        if relaxed >= ITERATION_CAP:
+            raise SolverFailure(
+                "monotone iteration hit the iteration cap",
+                residual=residual, iterations=relaxed)
+        nxt = up + values / rho
+        monotone_defect = max(monotone_defect,
+                              float(np.max(up - nxt, initial=0.0)))
+        clipped = np.clip(nxt, floor, high)
+        step = float(np.max(np.abs(clipped - up)))
+        up = clipped
+        relaxed += 1
+        values = F(up)
         residual = float(np.max(np.abs(values)))
-        while residual > RESIDUAL_TARGET:
-            if iterations >= ITERATION_CAP:
-                raise SolverFailure(
-                    "monotone iteration hit the iteration cap",
-                    residual=residual, iterations=iterations)
-            nxt = u + values / rho
-            moved = nxt - u
-            monotone_defect = max(monotone_defect,
-                                  float(np.max(-direction * moved, initial=0.0)))
-            clipped = np.clip(nxt, floor, high)
-            step = float(np.max(np.abs(clipped - u)))
-            u = clipped
-            iterations += 1
-            values = F(u)
-            residual = float(np.max(np.abs(values)))
-            if step < STALL_STEP and residual > RESIDUAL_TARGET:
-                raise SolverFailure(
-                    "monotone iteration stalled before reaching the residual target",
-                    residual=residual, iterations=iterations)
-        limits.append(u)
-        total_iters += iterations
-    up, down = limits
+        if step < STALL_STEP and residual > RESIDUAL_TARGET:
+            raise SolverFailure(
+                "monotone iteration stalled before reaching the residual target",
+                residual=residual, iterations=relaxed)
+
+    down, newton, defect = _monotone_newton(K, d, F, slope, floor, high)
     if np.any(up > down + 1e-12):
         raise UniquenessViolation(
             "upward limit crossed above the downward limit")
@@ -219,12 +219,81 @@ def _two_sided_solve(K: DispersalMatrix, d: float,
         raise UniquenessViolation(
             f"monotone limits from below and above disagree by {gap:.3e}")
 
-    u = 0.5 * (up + down)
     result = EquilibriumResult(
-        field=u, residual=_fresh_residual(K, d, u, reaction(u)),
-        iterations=total_iters, bracket_low=sub, bracket_high=high,
-        converged_from="both", monotone_defect=monotone_defect)
+        field=down, residual=_fresh_residual(K, d, down, reaction(down)),
+        iterations=relaxed + newton, bracket_low=sub, bracket_high=high,
+        converged_from="both",
+        monotone_defect=max(monotone_defect, defect))
     return result, gap
+
+
+def _monotone_newton(K: DispersalMatrix, d: float,
+                     F: Callable[[np.ndarray], np.ndarray],
+                     slope: Callable[[np.ndarray], np.ndarray],
+                     floor: np.ndarray, high: np.ndarray
+                     ) -> tuple[np.ndarray, int, float]:
+    """Newton's method for ``F = 0`` from the supersolution ``high``.
+
+    The Jacobian is ``J = d (K - Id) + diag(slope(u))``.  For a concave
+    reaction each Newton iterate is again a supersolution and the iterates
+    decrease monotonically to the root (monotone Newton: Ortega &
+    Rheinboldt 1970, section 13.3), so ``-J`` stays positive definite on
+    equal cells.  The step solves ``-J du = F(u)``: by one dense LU solve,
+    or, when K is matrix-free, by conjugate gradients on the products
+    ``K.matvec`` (Jacobian-free Newton-Krylov: Knoll & Keyes 2004), which
+    form no n x n array.  The iteration stops one step after the residual
+    first reaches ``RESIDUAL_TARGET``.  Returns the limit, the number of
+    steps and the largest upward movement.  Reaching ``NEWTON_CAP`` steps
+    first, a singular Jacobian or a failed CG solve raise ``SolverFailure``
+    with the residual and step count.
+    """
+    u = high
+    steps = 0
+    upward = 0.0
+    values = F(u)
+    residual = float(np.max(np.abs(values)))
+    polished = False
+    while not polished:
+        if steps >= NEWTON_CAP:
+            raise SolverFailure(
+                "Newton iteration from above hit the step cap",
+                residual=residual, iterations=steps)
+        # convergence is quadratic: one step past the target reaches round-off
+        polished = residual <= RESIDUAL_TARGET
+        du = _newton_step(K, d, d - slope(u), values)
+        if du is None or not np.all(np.isfinite(du)):
+            raise SolverFailure("Newton step: the Jacobian solve failed "
+                                "(singular, or CG did not converge)",
+                                residual=residual, iterations=steps)
+        upward = max(upward, float(np.max(du, initial=0.0)))
+        u = np.clip(u + du, floor, high)
+        steps += 1
+        values = F(u)
+        residual = float(np.max(np.abs(values)))
+    return u, steps, upward
+
+
+def _newton_step(K: DispersalMatrix, d: float, diagonal: np.ndarray,
+                 rhs: np.ndarray) -> np.ndarray | None:
+    """Solve ``(diag(diagonal) - d K) x = rhs``, which is ``-J x = rhs``;
+    ``None`` if the matrix is singular or CG does not converge."""
+    if not K.matrix_free:
+        A = -d * K.entries
+        A.flat[::K.n + 1] += diagonal
+        try:
+            return np.linalg.solve(A, rhs)
+        except np.linalg.LinAlgError:
+            return None
+    from scipy.sparse.linalg import LinearOperator, cg  # large grids only
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        v = v.reshape(-1)
+        return diagonal * v - d * K.matvec(v)
+
+    # a tight relative tolerance keeps the steps as in the dense solve
+    x, info = cg(LinearOperator((K.n, K.n), matvec=apply, dtype=float), rhs,
+                 rtol=1e-12, atol=0.0)
+    return x if info == 0 else None
 
 
 def solve_endemic(K: DispersalMatrix, params: ModelParams, beta, gamma,
@@ -264,14 +333,19 @@ def solve_endemic(K: DispersalMatrix, params: ModelParams, beta, gamma,
                                 "nonpositive inside the bracket")
         return (m - d_s * beta_v * I / denom) * I
 
-    # Relaxation constant: d_I plus a bound for the reaction slope on the
-    # bracket, derived from the quotient-rule derivative of the pressure.
-    slope = np.abs(m) + d_s * beta_v * high * (
-        2.0 * d_s * dfe + abs(d_s - d_i) * high) / denom_floor**2
-    rho = 1.1 * (d_i + float(np.max(slope)))
+    def slope(I: np.ndarray) -> np.ndarray:
+        # quotient-rule derivative of the reaction
+        denom = d_s * dfe + (d_s - d_i) * I
+        return m - d_s * beta_v * I * (2.0 * d_s * dfe + (d_s - d_i) * I) / denom**2
 
-    res, gap = _two_sided_solve(K, d_i, reaction, rho, high, growth.vector,
-                                0.1 * float(np.min(high)))
+    # Relaxation constant: d_I plus a bound for the reaction slope on the
+    # bracket, from the same quotient-rule derivative.
+    bound = np.abs(m) + d_s * beta_v * high * (
+        2.0 * d_s * dfe + abs(d_s - d_i) * high) / denom_floor**2
+    rho = 1.1 * (d_i + float(np.max(bound)))
+
+    res, gap = _two_sided_solve(K, d_i, reaction, slope, rho, high,
+                                growth.vector, 0.1 * float(np.min(high)))
     infected = res.field
     susceptible = (d_s * dfe - d_i * infected) / d_s
     return EndemicPair(susceptible=susceptible, infected=infected,
@@ -284,8 +358,8 @@ def solve_logistic_stationary(K: DispersalMatrix, d: float, b, a) -> Equilibrium
     ``d (K u - u) + b u - a u^2 = 0``.
 
     Exists exactly when the principal eigenvalue of ``d (K - Id) + diag(b)``
-    is positive; solved by the same two-sided monotone scheme with the
-    constant supersolution ``max(b) / min(a)``.  An ``a`` that is not a
+    is positive; solved by the same two-sided driver with the constant
+    supersolution ``max(b) / min(a)``.  An ``a`` that is not a
     finite field of length n raises ``InvalidArgumentError``.
     """
     b_v, a_v = _field_values(b), _reaction_field(K, d, a)
@@ -302,6 +376,7 @@ def solve_logistic_stationary(K: DispersalMatrix, d: float, b, a) -> Equilibrium
     slope = np.maximum(np.abs(b_v), np.abs(2.0 * a_v * high_const - b_v))
     rho = 1.1 * (d + float(np.max(slope)))
     cap = min(0.1 * high_const, growth.value / (2.0 * float(np.max(a_v))))
-    res, _ = _two_sided_solve(K, d, lambda u: b_v * u - a_v * u * u, rho,
+    res, _ = _two_sided_solve(K, d, lambda u: b_v * u - a_v * u * u,
+                              lambda u: b_v - 2.0 * a_v * u, rho,
                               np.full(K.n, high_const), growth.vector, cap)
     return res

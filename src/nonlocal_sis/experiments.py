@@ -251,8 +251,11 @@ def _validate_semantics(config: ExperimentConfig) -> None:
     if config.scenario == "simulate":
         for key in ("integrator.dt", "integrator.t_end"):
             _require(config, key)
-        for prefix in ("init.s", "init.i"):
-            _field_spec(config, prefix, n)
+        try:
+            grid = _config_grid(config)
+        except InvalidArgumentError:
+            return  # a bad domain or grid is reported by run_scenario
+        _initial_data(config, grid)
     if config.scenario == "threshold_sweep":
         lo, hi, count = (_require(config, key)
                          for key in ("sweep.lo", "sweep.hi", "sweep.count"))
@@ -286,10 +289,37 @@ class Instance:
         return self.beta.values - self.gamma.values
 
 
-def _build_instance(config: ExperimentConfig) -> Instance:
+def _config_grid(config: ExperimentConfig) -> Grid:
     domain = DomainSpec(float(_require(config, "domain.left")),
                         float(_require(config, "domain.right")))
-    grid = build_grid(_require(config, "grid.n"), domain)
+    return build_grid(_require(config, "grid.n"), domain)
+
+
+def _initial_data(config: ExperimentConfig,
+                  grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The ``init.s`` and ``init.i`` recipes sampled at the nodes; each must
+    be finite and nonnegative, and the infected mass positive, or
+    ``ConfigError`` names the offending key."""
+    fields = []
+    for prefix in ("init.s", "init.i"):
+        spec = _field_spec(config, prefix, grid.n)
+        try:
+            values = sample_field_values(spec, grid)
+        except InvalidArgumentError as exc:
+            raise ConfigError(str(exc), key=prefix) from None
+        if not np.all((0.0 <= values) & (values < np.inf)):
+            raise ConfigError(f"initial data {prefix!r} must be finite and "
+                              "nonnegative", key=prefix)
+        fields.append(values)
+    s0, i0 = fields
+    if float(grid.weights @ i0) <= 0:
+        raise ConfigError("epidemic run needs positive initial infected mass",
+                          key="init.i")
+    return s0, i0
+
+
+def _build_instance(config: ExperimentConfig) -> Instance:
+    grid = _config_grid(config)
     family = config.get("kernel.family")
     if family == "tophat":
         kernel = KernelSpec.tophat(float(config.get("kernel.h")))
@@ -417,13 +447,7 @@ def _run_instance_scenario(config: ExperimentConfig, inst: Instance) -> dict:
 
 def _run_simulate(config: ExperimentConfig, inst: Instance, K) -> dict:
     icfg = _integrator_config(config)
-    s0 = sample_field_values(_field_spec(config, "init.s", inst.grid.n), inst.grid)
-    i0 = sample_field_values(_field_spec(config, "init.i", inst.grid.n), inst.grid)
-    if np.any(s0 < 0) or np.any(i0 < 0):
-        raise ConfigError("initial data must be nonnegative", key="init.s")
-    if float(inst.grid.weights @ i0) <= 0:
-        raise ConfigError("epidemic run needs positive initial infected mass",
-                          key="init.i")
+    s0, i0 = _initial_data(config, inst.grid)
 
     dfe = solve_disease_free(K, inst.params.d_S, inst.lam)
     growth = infection_growth_rate(K, inst.params.d_I, inst.gap)

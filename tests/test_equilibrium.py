@@ -126,8 +126,11 @@ class TestTwoSidedDriver:
         def reaction(u):
             return 0.5 * u - u * (u - 1.0) * (u - 2.0) * (u - 3.0)
 
+        def slope(u):
+            return 0.5 - (4.0 * u**3 - 18.0 * u**2 + 22.0 * u - 6.0)
+
         with pytest.raises(UniquenessViolation, match="disagree"):
-            equilibrium._two_sided_solve(two_cell_K, 1.0, reaction, 60.0,
+            equilibrium._two_sided_solve(two_cell_K, 1.0, reaction, slope, 60.0,
                                          np.full(2, 4.0), np.ones(2), 0.5)
 
     def test_no_subsolution_reports_diagnostics(self, endemic_setup,
@@ -146,6 +149,25 @@ class TestTwoSidedDriver:
             solve_endemic(K, params, beta, gamma, np.full(2, 2.0))
         assert info.value.iterations == 200
         assert info.value.residual is not None and info.value.residual > 0
+
+    def test_newton_cap_reports_diagnostics(self, endemic_setup, monkeypatch):
+        grid, K, beta, gamma, lam, params = endemic_setup
+        dfe = solve_disease_free(K, params.d_S, lam).field
+        monkeypatch.setattr(equilibrium, "NEWTON_CAP", 1)
+        with pytest.raises(SolverFailure, match="Newton") as info:
+            solve_endemic(K, params, beta, gamma, dfe)
+        assert info.value.iterations == 1
+        assert info.value.residual > equilibrium.RESIDUAL_TARGET
+
+    def test_singular_newton_step_reports_diagnostics(self, two_cell_K):
+        # a wrong slope of 0.5 makes -J = [[0.25, -0.25], [-0.25, 0.25]]
+        with pytest.raises(SolverFailure, match="Jacobian solve") as info:
+            equilibrium._two_sided_solve(
+                two_cell_K, 1.0, lambda u: 1.5 * u - u * u,
+                lambda u: np.full(2, 0.5), 5.0, np.full(2, 1.5), np.ones(2),
+                0.1)
+        assert info.value.iterations == 0
+        assert info.value.residual > equilibrium.RESIDUAL_TARGET
 
     @staticmethod
     def _count_matvecs(K, monkeypatch):
@@ -170,22 +192,25 @@ class TestTwoSidedDriver:
 
     def test_one_dispersal_product_per_endemic_step(self, two_cell_K,
                                                     monkeypatch):
-        # growth rate 0.05, just above threshold: thousands of relaxed steps
+        # growth rate 0.05, just above threshold: over a thousand relaxed
+        # steps upward, then a few Newton steps downward
         dfe = solve_disease_free(two_cell_K, 1.0, np.ones(2)).field
         calls = self._count_matvecs(two_cell_K, monkeypatch)
         pair = solve_endemic(two_cell_K, ModelParams(1.0, 1.0),
                              np.full(2, 1.05), np.full(2, 0.5), dfe)
-        assert pair.iterations >= 2000
-        # growth-rate residual and one residual test per starting point
+        assert pair.iterations >= 1000
+        # growth-rate residual and one residual test per starting point;
+        # a dense Newton solve makes no product
         assert calls.total <= pair.iterations + calls.subsolution + 3
 
     def test_one_dispersal_product_per_logistic_step(self, two_cell_K,
                                                      monkeypatch):
-        # principal eigenvalue 0.02: thousands of relaxed steps
+        # principal eigenvalue 0.02: over a thousand relaxed steps upward,
+        # then a few Newton steps downward
         calls = self._count_matvecs(two_cell_K, monkeypatch)
         res = solve_logistic_stationary(two_cell_K, 1.0, np.full(2, 0.52),
                                         np.ones(2))
-        assert res.iterations >= 2000
+        assert res.iterations >= 1000
         assert calls.total <= res.iterations + calls.subsolution + 3
 
 

@@ -1,6 +1,7 @@
 import gc
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from nonlocal_sis import (
 )
 from nonlocal_sis.cli import main as cli_main
 from nonlocal_sis.experiments import load_config, make_config, run_verify_suite
+
+DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
 SPECTRAL_CONFIG = """
 # the hand-checkable two-cell instance
@@ -360,6 +363,28 @@ class TestCli:
     def test_missing_config_file(self, tmp_path):
         code = cli_main(["--config", str(tmp_path / "nope.cfg")])
         assert code == 2
+
+    @pytest.mark.parametrize("line, key, message", [
+        ("init.i.value = -0.5", "init.i", "'init.i' must be finite and nonnegative"),
+        ("init.s.value = -2.0", "init.s", "'init.s' must be finite and nonnegative"),
+        ("init.s.value = inf", "init.s", "'init.s' must be finite and nonnegative"),
+        ("init.i.value = 0.0", "init.i", "positive initial infected mass"),
+    ])
+    def test_bad_initial_data_exits_two_naming_its_key(self, tmp_path, capsys,
+                                                       line, key, message):
+        demo = DEMO_CONFIGS / "simulate_persistence.cfg"
+        prefix = line.split(" = ")[0]
+        text = "".join(line + "\n" if row.startswith(prefix + " ") else row
+                       for row in demo.read_text().splitlines(keepends=True))
+        assert line in text
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert cli_main(["--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+        with pytest.raises(ConfigError) as info:
+            load_config(cfg)
+        assert info.value.key == key
 
 
 def test_load_config_resolves_tables_relative_to_file(tmp_path):

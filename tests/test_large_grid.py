@@ -22,8 +22,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonlocal_sis import (
+    DispersalMatrix,
     DomainSpec,
     KernelSpec,
+    ModelParams,
     SolverFailure,
     SolverInconsistency,
     assemble_dispersal,
@@ -35,6 +37,8 @@ from nonlocal_sis import (
     parse_config,
     run_scenario,
     solve_disease_free,
+    solve_endemic,
+    solve_logistic_stationary,
 )
 from nonlocal_sis.experiments import random_instance
 
@@ -180,6 +184,56 @@ def test_corrupted_levinson_solve_is_caught(monkeypatch):
                         lambda c, b: true_solve(c, b) + 1e-6)
     with pytest.raises(SolverInconsistency):
         solve_disease_free(K, 1.0, np.ones(K.n))
+
+
+def _stationary_states(K):
+    """Endemic (S, I) and logistic states of one bump instance with
+    d_S = d_I, where the relaxed pass takes about a thousand steps."""
+    x = K.grid.nodes
+    beta = 0.5 + 1.5 * np.exp(-((x - 0.5) / 0.2) ** 2)
+    gamma = np.full(K.n, 0.6)
+    dfe = solve_disease_free(K, 0.1, np.ones(K.n)).field
+    pair = solve_endemic(K, ModelParams(0.1, 0.1), beta, gamma, dfe)
+    logistic = solve_logistic_stationary(K, 0.1, beta - gamma, beta / dfe)
+    for res in (pair, logistic):
+        assert res.residual <= 1e-8 and res.monotone_defect <= 1e-12
+    assert pair.bracket_gap <= 1e-8
+    return pair.susceptible, pair.infected, logistic.field
+
+
+def test_matrix_free_stationary_states_match_dense():
+    n = N_MIN
+    K = _large_K(n)
+    assert K.matrix_free
+    tracemalloc.start()
+    try:
+        got = _stationary_states(K)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert K._entries is None
+    assert peak < n * n * 8, f"peak {peak} B reaches one dense {n}x{n} matrix"
+    dense = DispersalMatrix(entries=_large_K(n).entries, grid=K.grid)
+    assert not dense.matrix_free
+    for field, want in zip(got, _stationary_states(dense)):
+        np.testing.assert_allclose(field, want, rtol=0, atol=1e-8)
+
+
+def test_cg_failure_is_a_solver_failure(monkeypatch):
+    K = _large_K(N_MIN)
+    true_cg = scipy.sparse.linalg.cg
+
+    def stalled(op, b, **kwargs):
+        x, _ = true_cg(op, b, maxiter=1, **kwargs)
+        return x, 1
+
+    monkeypatch.setattr(scipy.sparse.linalg, "cg", stalled)
+    x = K.grid.nodes
+    with pytest.raises(SolverFailure, match="Jacobian solve") as info:
+        solve_logistic_stationary(K, 0.1, 1.0 + 0.5 * np.sin(3.0 * x),
+                                  np.ones(K.n))
+    assert info.value.iterations == 0
+    assert info.value.residual > 1e-11
 
 
 def test_instance_dispersal_is_cached():
