@@ -2,7 +2,7 @@
 iteration from below and monotone Newton from above.
 
 The disease-free profile solves a linear balance (one direct solve,
-certified by a compensated residual).  The endemic profile comes
+certified by a rigorous bound on its residual).  The endemic profile comes
 from the reduced scalar problem after eliminating the susceptibles through
 the conserved combination d_S*S + d_I*I; the solver runs relaxed monotone
 steps upward from a small multiple of the principal eigenvector and

@@ -326,12 +326,14 @@ class ValidationReport:
 
 
 def validate_instance(grid: Grid, kernel: KernelSpec, beta, gamma, lam,
-                      params) -> ValidationReport:
+                      params, dispersal=None) -> ValidationReport:
     """Check the standing assumptions; failures land in the report, they
     do not raise.
 
     Bare arrays and (d_S, d_I) tuples are accepted so that deliberately
-    broken data can be probed.
+    broken data can be probed.  The in-domain masses are the row masses of
+    ``dispersal``, the instance's assembled ``DispersalMatrix`` when the
+    caller has one, and of a fresh assembly otherwise.
     """
     beta_v, gamma_v, lam_v = (_field_values(beta), _field_values(gamma),
                               _field_values(lam))
@@ -344,7 +346,8 @@ def validate_instance(grid: Grid, kernel: KernelSpec, beta, gamma, lam,
     sym_defect = float(np.max(np.abs(kernel_value(kernel, probes)
                                      - kernel_value(kernel, -probes))))
     total_mass = kernel_total_mass(kernel)
-    mass = kernel_mass_profile(grid, kernel)
+    mass = (kernel_mass_profile(grid, kernel) if dispersal is None
+            else dispersal.row_masses())
 
     checks = {
         "kernel_symmetry": sym_defect == 0.0,

