@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from nonlocal_sis import (
     CoefficientField,
@@ -9,6 +10,16 @@ from nonlocal_sis import (
     ModelParams,
     assemble_dispersal,
     build_grid,
+)
+
+
+# The three kernel families over widths from a few cells to wider than
+# the domain.
+KERNELS = st.one_of(
+    st.builds(KernelSpec.tophat, st.floats(0.005, 1.5)),
+    st.builds(KernelSpec.triangle, st.floats(0.005, 1.5)),
+    st.builds(lambda sigma, ratio: KernelSpec.truncated_gaussian(sigma, ratio * sigma),
+              st.floats(0.005, 0.8), st.floats(1.0, 4.0)),
 )
 
 

@@ -42,6 +42,8 @@ from nonlocal_sis import (
 )
 from nonlocal_sis.experiments import random_instance
 
+from conftest import KERNELS
+
 N_MIN = operators.TOEPLITZ_MIN_N
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -77,15 +79,7 @@ def _dense_top(K, d, c):
     return vals[-1], v / v[np.argmax(np.abs(v))]
 
 
-kernels = st.one_of(
-    st.builds(KernelSpec.tophat, st.floats(0.005, 1.5)),
-    st.builds(KernelSpec.triangle, st.floats(0.005, 1.5)),
-    st.builds(lambda sigma, ratio: KernelSpec.truncated_gaussian(sigma, ratio * sigma),
-              st.floats(0.005, 0.8), st.floats(1.0, 4.0)),
-)
-
-
-@given(kernel=kernels, n=st.integers(N_MIN - 16, 2 * N_MIN),
+@given(kernel=KERNELS, n=st.integers(N_MIN - 16, 2 * N_MIN),
        length=st.floats(0.5, 2.0), stacked=st.booleans(),
        sign=st.sampled_from(["nonneg", "mixed", "step"]),
        seed=st.integers(0, 2**32 - 1))
