@@ -1,11 +1,11 @@
 """Stationary states: disease-free, endemic, and nonlocal logistic.
 
-The disease-free profile solves a linear balance by one direct solve
-(dense LU, or Levinson's recursion on the Toeplitz column when K is
-matrix-free), certified by a residual bound: the residual from one dense or
-FFT product of K, which does not share the solve's path, plus a rigorous
-bound on its rounding error.  The same certificate checks the other two
-states.
+The disease-free profile solves a linear balance by one shifted solve
+``K.shifted_solve`` (dense LU, or Levinson's recursion on the Toeplitz
+column when K is matrix-free), certified by a residual bound: the residual
+from one dense or FFT product of K, which does not share the solve's path,
+plus a rigorous bound on its rounding error.  The same certificate checks
+the other two states.
 
 The endemic state and the logistic stationary state differ only in their
 reaction term and its slope, relaxation constant and bracket; one driver
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .domain import ModelParams, _field_values
 from .errors import (
@@ -34,16 +33,13 @@ from .errors import (
     InvalidArgumentError,
     NoEndemicState,
     NoPositiveState,
+    PreconditionError,
     SolverFailure,
     SolverInconsistency,
     UniquenessViolation,
 )
 from .operators import ROUNDING_SLACK, DispersalMatrix
-from .spectral import (
-    _reaction_field,
-    dispersal_principal_eigenpair,
-    infection_growth_rate,
-)
+from .spectral import _reaction_field, infection_growth_rate
 
 __all__ = [
     "EquilibriumResult",
@@ -102,13 +98,11 @@ def _fresh_residual(K: DispersalMatrix, d: float, u: np.ndarray,
 
 @dataclass(frozen=True)
 class EquilibriumResult:
-    """A stationary node field with its bracket and solve diagnostics."""
+    """A stationary node field with its solve diagnostics."""
 
     field: np.ndarray
     residual: float
     iterations: int
-    bracket_low: np.ndarray
-    bracket_high: np.ndarray
     converged_from: str
     monotone_defect: float = 0.0
 
@@ -146,37 +140,29 @@ def solve_disease_free(K: DispersalMatrix, d_S: float, lam) -> EquilibriumResult
     """Stationary susceptible profile with recruitment and no infection.
 
     Solves the linear balance (dispersal gain + recruitment = full-mass
-    loss) ``(Id - K) u = lam / d_S`` by one direct solve (Levinson's
+    loss) ``(Id - K) u = lam / d_S`` by one ``K.shifted_solve`` (Levinson's
     recursion on the symmetric Toeplitz column of ``Id - K`` when K is
     matrix-free, dense LU otherwise), certified by an upper bound on the
     exact residual of ``d_S (K u - u) + lam`` (see ``_fresh_residual``),
     which does not share the solve's path; a bound above 1e-8 (or NaN)
     raises ``SolverInconsistency`` with the bound as its residual.  The
-    reported ``residual`` is that bound.  The bracket
-    is ``[eps, big] * phi`` with ``phi`` the principal eigenvector of the
-    pure dispersal operator.  A ``d_S`` that is not finite and positive, or a
-    ``lam`` that is not a finite field of length n, raises
-    ``InvalidArgumentError``.
+    reported ``residual`` is that bound.  A ``d_S`` that is not finite and
+    positive, or a ``lam`` that is not a finite field of length n, raises
+    ``InvalidArgumentError``; a singular ``Id - K`` (a K that is not
+    dissipative) raises ``PreconditionError``.
     """
     lam_v = _reaction_field(K, d_S, lam)
-    if K.matrix_free:
-        column = -K.column
-        column[0] += 1.0
-        u = scipy.linalg.solve_toeplitz(column, lam_v / d_S)
-    else:
-        u = np.linalg.solve(np.eye(K.n) - K.entries, lam_v / d_S)
+    try:
+        u = K.shifted_solve(1.0, np.ones(K.n), lam_v / d_S)
+    except np.linalg.LinAlgError:
+        raise PreconditionError("Id - K is singular: the dispersal operator "
+                                "is not dissipative") from None
     residual = _fresh_residual(K, d_S, u, lam_v)
     if not residual <= AGREEMENT_TOL:
         raise SolverInconsistency(
             f"direct disease-free solve leaves residual {residual:.3e}",
             residual=residual, iterations=1)
-
-    lam1 = dispersal_principal_eigenpair(K)
-    phi = lam1.vector  # positive, sup-norm 1
-    eps = 0.5 * float(np.min(lam_v)) / (lam1.value * d_S)
-    big = 1.0 + float(np.max(lam_v)) / (lam1.value * d_S * float(np.min(phi)))
     return EquilibriumResult(field=u, residual=residual, iterations=1,
-                             bracket_low=eps * phi, bracket_high=big * phi,
                              converged_from="both")
 
 
@@ -263,8 +249,7 @@ def _two_sided_solve(K: DispersalMatrix, d: float,
             residual=residual, iterations=relaxed + newton)
     result = EquilibriumResult(
         field=down, residual=residual, iterations=relaxed + newton,
-        bracket_low=sub, bracket_high=high, converged_from="both",
-        monotone_defect=max(monotone_defect, defect))
+        converged_from="both", monotone_defect=max(monotone_defect, defect))
     return result, gap
 
 
@@ -279,14 +264,12 @@ def _monotone_newton(K: DispersalMatrix, d: float,
     reaction each Newton iterate is again a supersolution and the iterates
     decrease monotonically to the root (monotone Newton: Ortega &
     Rheinboldt 1970, section 13.3), so ``-J`` stays positive definite on
-    equal cells.  The step solves ``-J du = F(u)``: by one dense LU solve,
-    or, when K is matrix-free, by conjugate gradients on the products
-    ``K.matvec`` (Jacobian-free Newton-Krylov: Knoll & Keyes 2004), which
-    form no n x n array.  The iteration stops one step after the residual
-    first reaches ``RESIDUAL_TARGET``.  Returns the limit, the number of
-    steps and the largest upward movement.  Reaching ``NEWTON_CAP`` steps
-    first, a singular Jacobian or a failed CG solve raise ``SolverFailure``
-    with the residual and step count.
+    equal cells.  The step solves ``-J du = F(u)`` by one ``K.shifted_solve``.
+    The iteration stops one step after the residual first reaches
+    ``RESIDUAL_TARGET``.  Returns the limit, the number of steps and the
+    largest upward movement.  Reaching ``NEWTON_CAP`` steps first, or a
+    failed or non-finite step (a singular Jacobian, or CG that does not
+    converge), raises ``SolverFailure`` with the residual and step count.
     """
     u = high
     steps = 0
@@ -301,7 +284,10 @@ def _monotone_newton(K: DispersalMatrix, d: float,
                 residual=residual, iterations=steps)
         # convergence is quadratic: one step past the target reaches round-off
         polished = residual <= RESIDUAL_TARGET
-        du = _newton_step(K, d, d - slope(u), values)
+        try:
+            du = K.shifted_solve(d, d - slope(u), values)
+        except np.linalg.LinAlgError:
+            du = None
         if du is None or not np.all(np.isfinite(du)):
             raise SolverFailure("Newton step: the Jacobian solve failed "
                                 "(singular, or CG did not converge)",
@@ -312,29 +298,6 @@ def _monotone_newton(K: DispersalMatrix, d: float,
         values = F(u)
         residual = float(np.max(np.abs(values)))
     return u, steps, upward
-
-
-def _newton_step(K: DispersalMatrix, d: float, diagonal: np.ndarray,
-                 rhs: np.ndarray) -> np.ndarray | None:
-    """Solve ``(diag(diagonal) - d K) x = rhs``, which is ``-J x = rhs``;
-    ``None`` if the matrix is singular or CG does not converge."""
-    if not K.matrix_free:
-        A = -d * K.entries
-        A.flat[::K.n + 1] += diagonal
-        try:
-            return np.linalg.solve(A, rhs)
-        except np.linalg.LinAlgError:
-            return None
-    from scipy.sparse.linalg import LinearOperator, cg  # large grids only
-
-    def apply(v: np.ndarray) -> np.ndarray:
-        v = v.reshape(-1)
-        return diagonal * v - d * K.matvec(v)
-
-    # a tight relative tolerance keeps the steps as in the dense solve
-    x, info = cg(LinearOperator((K.n, K.n), matvec=apply, dtype=float), rhs,
-                 rtol=1e-12, atol=0.0)
-    return x if info == 0 else None
 
 
 def solve_endemic(K: DispersalMatrix, params: ModelParams, beta, gamma,
@@ -348,11 +311,13 @@ def solve_endemic(K: DispersalMatrix, params: ModelParams, beta, gamma,
     ``[eps * psi, (d_S/d_I) * S_dfe]`` with ``psi`` the principal
     eigenvector of the linearized infection operator, and the susceptible
     profile is recovered from the conservation identity afterwards.  A
-    ``dfe`` that is not a finite positive field of length n raises
-    ``InvalidArgumentError``.
+    ``beta``, ``gamma`` or ``dfe`` that is not a finite positive field of
+    length n raises ``InvalidArgumentError``.
     """
-    beta_v, gamma_v = _field_values(beta), _field_values(gamma)
     d_s, d_i = params.d_S, params.d_I
+    beta_v, gamma_v = _reaction_field(K, d_i, beta), _reaction_field(K, d_i, gamma)
+    if not (np.all(beta_v > 0) and np.all(gamma_v > 0)):
+        raise InvalidArgumentError("beta and gamma must be positive at every node")
     dfe = _reaction_field(K, d_s, dfe)
     if not np.all(dfe > 0):
         raise InvalidArgumentError("disease-free profile must be positive")

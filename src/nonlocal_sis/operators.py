@@ -12,9 +12,9 @@ inner product ``<u, v>_w = sum_i w_i u_i v_i``, the discrete L2 pairing of
 the grid.
 
 On a grid of equal cells K is symmetric Toeplitz.  From
-``TOEPLITZ_MIN_N`` nodes on, its products go through an FFT and the
-spectral and equilibrium layers use solvers that need only those products
-or the first column, so no n x n array is formed.
+``TOEPLITZ_MIN_N`` nodes on, its products go through an FFT, and the
+spectral layer and ``DispersalMatrix.shifted_solve`` use solvers that need
+only those products or the first column, so no n x n array is formed.
 """
 
 from __future__ import annotations
@@ -58,6 +58,8 @@ class DispersalMatrix:
     the dense entries below ``TOEPLITZ_MIN_N`` nodes and through a
     circulant embedding of the column (one real FFT pair) at or above it.
     A matrix given by its ``entries`` is always applied densely.
+    ``shifted_solve`` solves ``(diag(c) - d K) x = b``, the one linear
+    system of the stationary states, by the method its storage allows.
     """
 
     def __init__(self, entries=None, grid: Grid | None = None, *, column=None):
@@ -184,6 +186,36 @@ class DispersalMatrix:
                                     * c_norm * u_norm + underflow)
         gamma = terms * unit / (1.0 - terms * unit)
         return gain, ROUNDING_SLACK * gamma * magnitude + terms * 2.0**-1073
+
+    def shifted_solve(self, d: float, c: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Solve ``(diag(c) - d K) x = b`` for node fields ``c`` and ``b``:
+        by LU on a dense K; on a matrix-free K by Levinson's recursion on
+        the Toeplitz column when ``c`` is constant, and otherwise by
+        conjugate gradients on ``matvec`` to a relative residual of 1e-12,
+        which needs the matrix positive definite, as a nonsingular M-matrix
+        on equal cells is.  A singular matrix, or CG that does not
+        converge, raises ``np.linalg.LinAlgError``.
+        """
+        if not self.matrix_free:
+            A = -d * self.entries
+            A.flat[::self.n + 1] += c
+            return np.linalg.solve(A, b)
+        if np.all(c == c[0]):
+            from scipy.linalg import solve_toeplitz  # large grids only
+
+            column = -d * self.column
+            column[0] += c[0]
+            return solve_toeplitz(column, b)
+        from scipy.sparse.linalg import LinearOperator, cg  # large grids only
+
+        def apply(v: np.ndarray) -> np.ndarray:
+            return c * v.ravel() - d * self.matvec(v.ravel())
+
+        x, info = cg(LinearOperator((self.n, self.n), matvec=apply, dtype=float),
+                     b, rtol=1e-12, atol=0.0)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"CG did not converge (info {info})")
+        return x
 
     def _band(self) -> int:
         """The largest ``k`` with ``column[k] != 0``: row ``i`` of K is zero

@@ -7,21 +7,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonlocal_sis import (
+    DispersalMatrix,
     DomainSpec,
     InvalidArgumentError,
     KernelSpec,
     ModelParams,
     NoEndemicState,
     NoPositiveState,
+    PreconditionError,
     SolverFailure,
     SolverInconsistency,
     UniquenessViolation,
     assemble_dispersal,
     build_grid,
     equilibrium,
+    operators,
     solve_disease_free,
     solve_endemic,
     solve_logistic_stationary,
+    spectral,
 )
 from nonlocal_sis.experiments import random_instance
 
@@ -45,22 +49,39 @@ class TestDiseaseFree:
         b = solve_disease_free(two_cell_K, 1.0, np.full(2, 2.0))
         np.testing.assert_array_equal(b.field, 2.0 * a.field)
 
-    def test_bracket_contains_solution(self):
+    def test_random_instances_positive_and_certified(self):
         rng = np.random.default_rng(31)
         for _ in range(15):
             inst = random_instance(rng, n_max=48)
             res = solve_disease_free(inst.dispersal, inst.params.d_S, inst.lam)
             assert np.all(res.field > 0)
-            assert np.all(res.bracket_low <= res.field + 1e-12)
-            assert np.all(res.field <= res.bracket_high + 1e-12)
             assert res.residual <= 1e-8
 
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_runs_no_eigensolve(self, n, monkeypatch):
+        # dense below the crossover, Levinson above it
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve_disease_free ran an eigensolve")
+
+        monkeypatch.setattr(spectral, "_eigh_at", refuse)
+        monkeypatch.setattr(spectral, "_lanczos_top", refuse)
+        K = assemble_dispersal(build_grid(n, DomainSpec(0.0, 1.0)),
+                               KernelSpec.triangle(0.25))
+        res = solve_disease_free(K, 1.0, np.ones(n))
+        assert np.all(res.field > 0) and res.residual <= 1e-8
+
+    def test_non_dissipative_dispersal_rejected(self):
+        # K = Id spends no mass: Id - K is singular
+        K = DispersalMatrix(entries=np.eye(8),
+                            grid=build_grid(8, DomainSpec(0.0, 1.0)))
+        with pytest.raises(PreconditionError, match="not dissipative"):
+            solve_disease_free(K, 1.0, np.ones(8))
 
     def test_corrupted_direct_solve_is_caught(self, two_cell_K, monkeypatch):
         fake_np = SimpleNamespace(**vars(np))
         fake_np.linalg = SimpleNamespace(
             solve=lambda a, b: np.linalg.solve(a, b) + 1e-6)
-        monkeypatch.setattr(equilibrium, "np", fake_np)
+        monkeypatch.setattr(operators, "np", fake_np)
         with pytest.raises(SolverInconsistency):
             solve_disease_free(two_cell_K, 1.0, np.ones(2))
 
@@ -68,7 +89,7 @@ class TestDiseaseFree:
         fake_np = SimpleNamespace(**vars(np))
         fake_np.linalg = SimpleNamespace(
             solve=lambda a, b: np.linalg.solve(a, b) + 1e-6)
-        monkeypatch.setattr(equilibrium, "np", fake_np)
+        monkeypatch.setattr(operators, "np", fake_np)
         with pytest.raises(SolverInconsistency) as info:
             solve_disease_free(two_cell_K, 1.0, np.ones(2))
         assert info.value.iterations == 1
@@ -145,6 +166,11 @@ BAD_STATIONARY_INPUTS = {
     "disease_free-lam-nan": lambda K, p: solve_disease_free(
         K, 1.0, np.array([1.0, math.nan])),
     "disease_free-lam-length": lambda K, p: solve_disease_free(K, 1.0, np.ones(3)),
+    "endemic-beta-length": lambda K, p: solve_endemic(
+        K, p, np.full(3, 2.0), 0.5 * ONES, 2.0 * ONES),
+    # beta - gamma = 2 > 0, but neither rate is a rate
+    "endemic-beta-gamma-negative": lambda K, p: solve_endemic(
+        K, p, -1.0 * ONES, -3.0 * ONES, 2.0 * ONES),
     "endemic-dfe-length": lambda K, p: solve_endemic(
         K, p, 2.0 * ONES, 0.5 * ONES, np.full(3, 2.0)),
     "endemic-dfe-nan": lambda K, p: solve_endemic(
@@ -371,8 +397,8 @@ class TestLogisticStationary:
             res = solve_logistic_stationary(K, d, inst.gap,
                                             inst.beta.values)
             assert np.all(res.field > 0)
-            assert np.all(res.bracket_low <= res.field + 1e-12)
-            assert np.all(res.field <= res.bracket_high + 1e-12)
+            # the clamp at the constant supersolution
+            assert np.all(res.field <= np.max(inst.gap) / np.min(inst.beta.values))
             assert res.residual <= 1e-8
             assert res.monotone_defect <= 1e-12
             done += 1

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonlocal_sis import (
     DomainSpec,
@@ -12,6 +14,8 @@ from nonlocal_sis import (
     kernel_mass_profile,
 )
 from nonlocal_sis.experiments import random_instance
+
+from conftest import KERNELS
 
 
 def test_two_cell_matrix_by_hand(two_cell_K):
@@ -169,3 +173,36 @@ def test_dispersal_quadratic_form_dissipative():
         scale = float(np.sum(w * u * u))
         assert form <= 1e-12 * max(1.0, scale)
 
+
+@given(kernel=KERNELS, n=st.one_of(st.integers(8, 64), st.integers(512, 700)),
+       d=st.floats(0.1, 5.0), constant=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_shifted_solve_matches_dense_solve(kernel, n, d, constant, seed):
+    # LU below the crossover; above it Levinson for a constant c, CG otherwise
+    K = assemble_dispersal(build_grid(n, DomainSpec(0.0, 1.0)), kernel)
+    assert K.matrix_free == (n >= 512)
+    rng = np.random.default_rng(seed)
+    # c above d times each row mass (which exceeds 1 for an under-resolved
+    # kernel) makes diag(c) - d K a strictly diagonally dominant M-matrix
+    masses = K.row_masses()
+    if constant:
+        c = np.full(n, d * (np.max(masses) + rng.uniform(0.1, 2.0)))
+    else:
+        c = d * (masses + rng.uniform(0.1, 2.0, n))
+    b = rng.normal(size=n)
+    got = K.shifted_solve(d, c, b)
+    assert (K._entries is None) == K.matrix_free  # no n x n array formed
+    want = np.linalg.solve(np.diag(c) - d * K.entries, b)
+    assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
+
+
+def test_dense_shifted_solve_is_the_plain_solve_of_id_minus_K():
+    # c = 1, d = 1 forms Id - K to the bit: -1.0 * x is -x, -K_ii + 1.0 is 1.0 - K_ii
+    rng = np.random.default_rng(41)
+    for _ in range(10):
+        K = random_instance(rng, n_max=64).dispersal
+        b = rng.uniform(0.5, 2.0, K.n)
+        np.testing.assert_array_equal(
+            K.shifted_solve(1.0, np.ones(K.n), b),
+            np.linalg.solve(np.eye(K.n) - K.entries, b))
