@@ -22,9 +22,6 @@ from .domain import (
     ValidationReport,
     build_field,
     build_grid,
-    kernel_mass_in_domain,
-    kernel_mass_profile,
-    kernel_total_mass,
     kernel_value,
     load_coefficient_table,
     sample_field_values,

@@ -30,9 +30,6 @@ __all__ = [
     "ValidationReport",
     "build_grid",
     "kernel_value",
-    "kernel_mass_in_domain",
-    "kernel_mass_profile",
-    "kernel_total_mass",
     "sample_field_values",
     "build_field",
     "load_coefficient_table",
@@ -179,30 +176,6 @@ def kernel_value(spec: KernelSpec, z):
     return float(out[0]) if scalar else out
 
 
-def kernel_total_mass(spec: KernelSpec, points: int = 10001) -> float:
-    """Trapezoid integral of the kernel over its support (should be 1)."""
-    r = spec.support_radius
-    z = np.linspace(-r, r, points)
-    return float(np.trapezoid(kernel_value(spec, z), z))
-
-
-def kernel_mass_profile(grid: Grid, spec: KernelSpec) -> np.ndarray:
-    """In-domain kernel mass at every node: ``sum_j w_j J(x_i - x_j)``, the
-    row masses of the dispersal matrix (prefix sums of its first column
-    where it is matrix-free, so no n x n array is formed there)."""
-    from .operators import assemble_dispersal  # deferred: operators imports domain
-
-    return assemble_dispersal(grid, spec).row_masses()
-
-
-def kernel_mass_in_domain(grid: Grid, spec: KernelSpec, i: int) -> float:
-    """In-domain kernel mass at node ``i``; the deficit from 1 is the
-    probability of jumping into the hostile surroundings."""
-    if not 0 <= i < grid.n:
-        raise InvalidArgumentError(f"node index {i} out of range for n={grid.n}")
-    return float(kernel_value(spec, grid.nodes[i] - grid.nodes) @ grid.weights)
-
-
 @dataclass(frozen=True)
 class CoefficientField:
     """Strictly positive node field: transmission, recovery or recruitment."""
@@ -327,31 +300,32 @@ class ValidationReport:
 
 def validate_instance(grid: Grid, kernel: KernelSpec, beta, gamma, lam,
                       params, dispersal=None) -> ValidationReport:
-    """Check the standing assumptions; failures land in the report, they
-    do not raise.
+    """Check the standing assumptions that an instance can violate; failures
+    land in the report, they do not raise.
 
-    Bare arrays and (d_S, d_I) tuples are accepted so that deliberately
-    broken data can be probed.  The in-domain masses are the row masses of
-    ``dispersal``, the instance's assembled ``DispersalMatrix`` when the
-    caller has one, and of a fresh assembly otherwise.
+    The checks are: J(0) > 0 (``KernelSpec.triangle(1e300)`` overflows
+    ``h * h``, so its J(0) is 0.0), strictly positive beta, gamma,
+    lambda and dispersal rates, mass leaking out of the habitat at some node
+    (``dirichlet_leakage``) and no row mass above 1 (``quadrature_mass_bound``).
+    Kernel symmetry and unit mass are not checked: every family has both by
+    construction.  Bare arrays and (d_S, d_I) tuples are accepted so that
+    deliberately broken data can be probed.  The in-domain masses are the row
+    masses of ``dispersal``, the instance's assembled ``DispersalMatrix``
+    when the caller has one, and of a fresh assembly otherwise.
     """
+    from .operators import assemble_dispersal  # deferred: operators imports domain
+
     beta_v, gamma_v, lam_v = (_field_values(beta), _field_values(gamma),
                               _field_values(lam))
     if isinstance(params, ModelParams):
         d_s, d_i = params.d_S, params.d_I
     else:
         d_s, d_i = params
-
-    probes = np.linspace(-kernel.support_radius, kernel.support_radius, 1001)
-    sym_defect = float(np.max(np.abs(kernel_value(kernel, probes)
-                                     - kernel_value(kernel, -probes))))
-    total_mass = kernel_total_mass(kernel)
-    mass = (kernel_mass_profile(grid, kernel) if dispersal is None
-            else dispersal.row_masses())
+    if dispersal is None:
+        dispersal = assemble_dispersal(grid, kernel)
+    mass = dispersal.row_masses()
 
     checks = {
-        "kernel_symmetry": sym_defect == 0.0,
-        "kernel_unit_mass": abs(total_mass - 1.0) <= 1e-8,
         "kernel_positive_at_zero": kernel_value(kernel, 0.0) > 0.0,
         "beta_positive": bool(np.all(beta_v > 0)),
         "gamma_positive": bool(np.all(gamma_v > 0)),
@@ -361,9 +335,7 @@ def validate_instance(grid: Grid, kernel: KernelSpec, beta, gamma, lam,
         "quadrature_mass_bound": float(mass.max()) <= 1.0 + QUADRATURE_TOL,
     }
     diagnostics = {
-        "kernel_total_mass": total_mass,
         "min_in_domain_mass": float(mass.min()),
         "max_in_domain_mass": float(mass.max()),
-        "kernel_symmetry_defect": sym_defect,
     }
     return ValidationReport(checks=checks, diagnostics=diagnostics)

@@ -103,12 +103,10 @@ class EquilibriumResult:
     field: np.ndarray
     residual: float
     iterations: int
-    converged_from: str
     monotone_defect: float = 0.0
 
     def to_dict(self) -> dict:
         return {
-            "converged_from": self.converged_from,
             "field": [float(v) for v in self.field],
             "iterations": int(self.iterations),
             "residual": float(self.residual),
@@ -162,8 +160,7 @@ def solve_disease_free(K: DispersalMatrix, d_S: float, lam) -> EquilibriumResult
         raise SolverInconsistency(
             f"direct disease-free solve leaves residual {residual:.3e}",
             residual=residual, iterations=1)
-    return EquilibriumResult(field=u, residual=residual, iterations=1,
-                             converged_from="both")
+    return EquilibriumResult(field=u, residual=residual, iterations=1)
 
 
 def _subsolution_scale(F: Callable[[np.ndarray], np.ndarray], psi: np.ndarray,
@@ -249,7 +246,7 @@ def _two_sided_solve(K: DispersalMatrix, d: float,
             residual=residual, iterations=relaxed + newton)
     result = EquilibriumResult(
         field=down, residual=residual, iterations=relaxed + newton,
-        converged_from="both", monotone_defect=max(monotone_defect, defect))
+        monotone_defect=max(monotone_defect, defect))
     return result, gap
 
 

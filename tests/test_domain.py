@@ -11,11 +11,9 @@ from nonlocal_sis import (
     InvalidCoefficientError,
     KernelSpec,
     ModelParams,
+    assemble_dispersal,
     build_field,
     build_grid,
-    kernel_mass_in_domain,
-    kernel_mass_profile,
-    kernel_total_mass,
     kernel_value,
     load_coefficient_table,
     validate_instance,
@@ -82,7 +80,9 @@ class TestKernels:
 
     @pytest.mark.parametrize("spec", KERNELS, ids=str)
     def test_unit_mass_by_trapezoid(self, spec):
-        assert abs(kernel_total_mass(spec) - 1.0) <= 1e-8
+        z = np.linspace(-spec.support_radius, spec.support_radius, 10001)
+        y = kernel_value(spec, z)
+        assert abs(np.sum(0.5 * (y[1:] + y[:-1]) * np.diff(z)) - 1.0) <= 1e-8
 
     @pytest.mark.parametrize("spec", KERNELS, ids=str)
     def test_positive_at_zero(self, spec):
@@ -104,15 +104,17 @@ class TestKernels:
 
 
 class TestKernelMassInDomain:
-    def test_two_cell_tophat(self, two_cell):
+    """The in-domain mass at a node is the row mass of K."""
+
+    def test_two_cell_tophat(self, two_cell_K):
         # analytic: integral of 1/2 over [0,1] is 1/2 at either node
-        grid, kernel = two_cell
-        assert kernel_mass_in_domain(grid, kernel, 0) == pytest.approx(0.5, abs=1e-15)
-        assert kernel_mass_in_domain(grid, kernel, 1) == pytest.approx(0.5, abs=1e-15)
+        mass = two_cell_K.row_masses()
+        assert mass[0] == pytest.approx(0.5, abs=1e-15)
+        assert mass[1] == pytest.approx(0.5, abs=1e-15)
 
     def test_single_cell_tophat(self):
         grid = build_grid(1, DomainSpec(0.0, 1.0))
-        assert kernel_mass_in_domain(grid, KernelSpec.tophat(1.0), 0) == 0.5
+        assert assemble_dispersal(grid, KernelSpec.tophat(1.0)).row_masses()[0] == 0.5
 
     def test_disjoint_support_gives_zero(self):
         # kernel support much narrower than the node spacing: only the
@@ -122,10 +124,11 @@ class TestKernelMassInDomain:
         diff = grid.nodes[0] - grid.nodes[1]
         assert kernel_value(spec, diff) == 0.0
 
-    def test_index_out_of_range(self, two_cell):
-        grid, kernel = two_cell
-        with pytest.raises(InvalidArgumentError):
-            kernel_mass_in_domain(grid, kernel, 5)
+    def test_index_out_of_range(self, two_cell_K):
+        mass = two_cell_K.row_masses()
+        assert mass.shape == (2,)
+        with pytest.raises(IndexError):
+            mass[5]
 
     @pytest.mark.parametrize("n,k_cells,family", [
         (8, 3, "tophat"), (16, 5, "tophat"), (33, 7, "tophat"),
@@ -140,14 +143,14 @@ class TestKernelMassInDomain:
             spec = KernelSpec.tophat((k_cells + 0.5) * delta)
         else:
             spec = KernelSpec.triangle(k_cells * delta)
-        mass = kernel_mass_profile(grid, spec)
+        mass = assemble_dispersal(grid, spec).row_masses()
         assert mass.max() <= 1.0 + 1e-12
         assert mass.min() >= 0.0
 
     def test_wide_gaussian_stays_below_one(self):
         grid = build_grid(24, DomainSpec(0.0, 1.0))
         spec = KernelSpec.truncated_gaussian(0.6, 2.0)
-        mass = kernel_mass_profile(grid, spec)
+        mass = assemble_dispersal(grid, spec).row_masses()
         assert mass.max() <= 1.0 + 1e-12
 
 
@@ -240,7 +243,41 @@ class TestValidateInstance:
             ModelParams(1.0, 1.0))
         d = report.to_dict()
         assert d["passed"] is True
-        assert set(d["checks"]) >= {"kernel_symmetry", "dirichlet_leakage"}
+        assert set(d["checks"]) >= {"kernel_positive_at_zero", "dirichlet_leakage"}
+
+    @pytest.mark.parametrize("n,spec", [
+        (1024, KernelSpec.truncated_gaussian(0.002, 25.0)),
+        (2048, KernelSpec.truncated_gaussian(0.001, 10.0)),
+    ], ids=["n1024-sigma0.002", "n2048-sigma0.001"])
+    def test_narrow_gaussian_passes(self, n, spec):
+        # sigma about two cells wide, cutoff far outside the habitat: the
+        # kernels are unit-mass by construction and their row masses are <= 1
+        grid = build_grid(n, DomainSpec(0.0, 1.0))
+        one = const_field(grid, 1.0)
+        report = validate_instance(grid, spec, one, one, one, ModelParams(1.0, 1.0),
+                                   dispersal=assemble_dispersal(grid, spec))
+        assert report.passed, report.failures()
+
+    def test_overflowing_triangle_fails_positive_at_zero(self):
+        # h * h overflows to inf, so J(0) = h / inf = 0
+        grid = build_grid(8, DomainSpec(0.0, 1.0))
+        one = const_field(grid, 1.0)
+        report = validate_instance(grid, KernelSpec.triangle(1e300), one, one, one,
+                                   ModelParams(1.0, 1.0))
+        assert report.failures() == ["kernel_positive_at_zero"]
+
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_fresh_assembly_matches_cached_dispersal(self, n):
+        # without ``dispersal`` the masses come from a fresh assembly of K,
+        # dense at n=64 and matrix-free at n=1024
+        grid = build_grid(n, DomainSpec(0.0, 1.0))
+        kernel = KernelSpec.triangle(0.25)
+        K = assemble_dispersal(grid, kernel)
+        assert K.matrix_free == (n == 1024)
+        args = (grid, kernel, const_field(grid, 2.0), const_field(grid, 0.5),
+                const_field(grid, 1.0), ModelParams(1.0, 1.0))
+        assert (validate_instance(*args).to_dict()
+                == validate_instance(*args, dispersal=K).to_dict())
 
 
 class TestModelParams:

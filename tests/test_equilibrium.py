@@ -38,7 +38,6 @@ class TestDiseaseFree:
         res = solve_disease_free(two_cell_K, 1.0, np.ones(2))
         np.testing.assert_allclose(res.field, [2.0, 2.0], atol=1e-12)
         assert res.residual <= 1e-10
-        assert res.converged_from == "both"
 
     def test_rate_scaling(self, two_cell_K):
         res = solve_disease_free(two_cell_K, 2.0, np.ones(2))

@@ -32,7 +32,6 @@ from nonlocal_sis import (
     build_grid,
     dispersal_principal_eigenpair,
     infection_growth_rate,
-    kernel_mass_profile,
     operators,
     parse_config,
     run_scenario,
@@ -115,8 +114,8 @@ def test_rows_and_row_masses_from_the_column():
     np.testing.assert_allclose(K.row_masses(), K.entries.sum(axis=1), rtol=0,
                                atol=1e-14)
     grid = build_grid(K.n, DomainSpec(0.0, 1.0))
-    np.testing.assert_array_equal(kernel_mass_profile(grid, KernelSpec.triangle(0.25)),
-                                  K.row_masses())
+    np.testing.assert_array_equal(
+        assemble_dispersal(grid, KernelSpec.triangle(0.25)).row_masses(), K.row_masses())
 
 
 @pytest.mark.parametrize("n", [512, 1024])
