@@ -56,7 +56,7 @@ for d in np.geomspace(0.2, 12.0, 7):
     r0 = basic_reproduction_number(K, d, beta, gamma).value
     print(f"{d:5.2f}  {mu:+8.4f}  {r0:6.3f}")
 
-threshold = critical_dispersal_rate(K, beta, gamma, bracket=(0.1, 10.0))
+threshold = critical_dispersal_rate(K, beta, gamma)
 print("\ncritical dispersal rate:", threshold.d_critical)
 print("growth at the root     :", threshold.growth_at_critical)
 print("LAPACK eigensolves     :", threshold.iterations)

@@ -49,7 +49,6 @@ from .equilibrium import (
     solve_logistic_stationary,
 )
 from .errors import (
-    BracketBreach,
     ConfigError,
     IntegrationFailure,
     InvalidArgumentError,

@@ -74,6 +74,11 @@ class IntegratorConfig:
         if not (0 < self.dt < np.inf and 0 < self.t_end < np.inf):
             raise InvalidConfigError("dt and t_end must be finite and positive, "
                                      f"got {self.dt} and {self.t_end}")
+        steps = self.t_end / self.dt
+        whole = np.round(steps)
+        if not (whole >= 1 and abs(steps - whole) <= 1e-9 * whole):
+            raise InvalidConfigError("t_end must be a whole number (>= 1) of "
+                                     f"steps dt, got t_end / dt = {steps:.12g}")
         if self.method not in ("explicit_euler", "rk4"):
             raise InvalidConfigError(f"unknown method {self.method!r}")
         if not (isinstance(self.snapshot_stride, (int, np.integer))
@@ -103,7 +108,6 @@ class Trajectory:
     sup_norm_I: np.ndarray
     sup_norm_S_minus_target: np.ndarray | None
     clip_events: int
-    method: str
     dt: float
 
     @cached_property
@@ -123,7 +127,6 @@ class FieldTrajectory:
     sup_norm: np.ndarray
     sup_norm_minus_target: np.ndarray | None
     clip_events: int
-    method: str
     dt: float
 
 
@@ -183,8 +186,6 @@ def _run(y0: np.ndarray, config: IntegratorConfig,
     if np.any(y < 0):
         raise InvalidStateError("initial state has negative components")
     n_steps = int(round(config.t_end / config.dt))
-    if n_steps < 1:
-        raise InvalidConfigError("t_end shorter than one step")
     recorded = np.append(np.arange(0, n_steps, config.snapshot_stride), n_steps)
     states = np.empty((recorded.size,) + y.shape)
     states[0] = y
@@ -228,7 +229,7 @@ def integrate(state0: State, config: IntegratorConfig, params, K: DispersalMatri
                       sup_norm_I=_sup_distance(states[:, 1]),
                       sup_norm_S_minus_target=(None if s_target is None else
                                                _sup_distance(states[:, 0], s_target)),
-                      clip_events=clip_events, method=config.method, dt=config.dt)
+                      clip_events=clip_events, dt=config.dt)
 
 
 def _integrate_field(w0: np.ndarray, config: IntegratorConfig, f,
@@ -238,8 +239,7 @@ def _integrate_field(w0: np.ndarray, config: IntegratorConfig, f,
                            sup_norm=_sup_distance(fields),
                            sup_norm_minus_target=(None if target is None else
                                                   _sup_distance(fields, target)),
-                           clip_events=clip_events, method=config.method,
-                           dt=config.dt)
+                           clip_events=clip_events, dt=config.dt)
 
 
 def integrate_linear_infection(w0: np.ndarray, config: IntegratorConfig,

@@ -29,7 +29,6 @@ import numpy as np
 
 from .domain import ModelParams, _field_values
 from .errors import (
-    BracketBreach,
     InvalidArgumentError,
     NoEndemicState,
     NoPositiveState,
@@ -327,14 +326,13 @@ def solve_endemic(K: DispersalMatrix, params: ModelParams, beta, gamma,
             "no endemic state exists")
 
     high = (d_s / d_i) * dfe
+    # Every field the reaction sees is clamped to [floor, high] or is
+    # eps * psi with eps <= 0.1 min(high), and on that set the denominator
+    # d_S S_dfe + (d_S - d_I) I is at least denom_floor > 0.
     denom_floor = d_s * dfe * min(1.0, d_s / d_i)
 
     def reaction(I: np.ndarray) -> np.ndarray:
-        denom = d_s * dfe + (d_s - d_i) * I
-        if np.any(denom <= 0.0):
-            raise BracketBreach("denominator of the infection pressure became "
-                                "nonpositive inside the bracket")
-        return (m - d_s * beta_v * I / denom) * I
+        return (m - d_s * beta_v * I / (d_s * dfe + (d_s - d_i) * I)) * I
 
     def slope(I: np.ndarray) -> np.ndarray:
         # quotient-rule derivative of the reaction

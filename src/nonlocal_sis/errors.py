@@ -32,7 +32,7 @@ class InvalidWindowError(NonlocalSISError, ValueError):
 
 
 class InvalidBracketError(NonlocalSISError, ValueError):
-    """Root bracket has no sign change."""
+    """The growth rate has no root on (0, inf): no critical rate exists."""
 
 
 class PreconditionError(NonlocalSISError):
@@ -75,10 +75,6 @@ class NoPositiveState(NonlocalSISError):
 
 class UniquenessViolation(NonlocalSISError):
     """Monotone iteration limits from below and above disagree."""
-
-
-class BracketBreach(NonlocalSISError):
-    """An iterate left the invariant region where the nonlinearity is defined."""
 
 
 class IntegrationFailure(NonlocalSISError):

@@ -233,8 +233,11 @@ def _field_spec(config: ExperimentConfig, prefix: str, n: int) -> FieldSpec:
 
 
 def _validate_semantics(config: ExperimentConfig) -> None:
-    if config.scenario == "verify":
-        return  # verify draws its own instances
+    if config.scenario == "verify":  # verify draws its own instances
+        for key, least in (("verify.instances", 1), ("verify.n_max", 8)):
+            if config.get(key, least) < least:
+                raise ConfigError(f"verify needs {key} >= {least}", key=key)
+        return
     for key in ("domain.left", "domain.right", "grid.n", "kernel.family",
                 "d_S", "d_I"):
         _require(config, key)
@@ -495,7 +498,7 @@ def _run_sweep(config: ExperimentConfig, inst: Instance, K) -> dict:
         rows.append({"d_I": float(d), "mu_p": mu, "r0": r0})
     out = {"rows": rows}
     try:
-        threshold = critical_dispersal_rate(K, inst.beta, inst.gamma, (lo, hi))
+        threshold = critical_dispersal_rate(K, inst.beta, inst.gamma)
         out["threshold"] = threshold.to_dict()
     except InvalidBracketError as exc:
         out["threshold"] = None

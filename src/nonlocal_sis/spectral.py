@@ -279,52 +279,44 @@ def basic_reproduction_number(K: DispersalMatrix, d_I: float, beta,
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """Root of the growth rate in the infected dispersal rate."""
+    """Critical rate ``d*``: the root of the growth rate in the infected
+    dispersal rate, with the growth rate there and the eigensolves spent."""
 
     d_critical: float
-    bracket: tuple[float, float]
     iterations: int
     growth_at_critical: float
 
     def to_dict(self) -> dict:
         return {
-            "bracket_hi": self.bracket[1],
-            "bracket_lo": self.bracket[0],
             "d_critical": self.d_critical,
             "growth_at_critical": self.growth_at_critical,
             "iterations": self.iterations,
         }
 
 
-def critical_dispersal_rate(K: DispersalMatrix, beta, gamma,
-                            bracket: tuple[float, float]) -> ThresholdResult:
+def critical_dispersal_rate(K: DispersalMatrix, beta, gamma) -> ThresholdResult:
     """Root ``d*`` of ``d -> growth_rate(d, beta - gamma)``.
 
     The growth rate is positive exactly when some ``v`` has
     ``<m v, v> > d <(Id - K) v, v>``, so ``d*`` is the top eigenvalue of the
-    pencil ``(diag(m), Id - K)`` in weighted coordinates.  The returned
-    bracket keeps ``lo`` and doubles ``hi`` until it exceeds ``d*``.
+    pencil ``(diag(m), Id - K)`` in weighted coordinates, wherever it lies.
+    When ``m = beta - gamma <= 0`` at every node the growth rate has no
+    root on (0, inf) and ``InvalidBracketError`` is raised, before any
+    n x n array is formed.
     """
     m = _reaction_field(K, 1.0, beta) - _reaction_field(K, 1.0, gamma)
-    lo, hi = bracket
-    if not (0 < lo < hi):
-        raise InvalidBracketError(f"need 0 < lo < hi, got ({lo}, {hi})")
-
+    if not np.max(m) > 0:
+        raise InvalidBracketError(
+            "beta - gamma <= 0 at every node, so the growth rate has no "
+            "root on (0, inf)")
     try:
         d_star = _pencil_top(m, K)
     except np.linalg.LinAlgError:
         raise PreconditionError(
             "Id - K is not positive definite: the dispersal operator "
             "is not dissipative") from None
-    if d_star <= lo:
-        raise InvalidBracketError(
-            f"critical rate {d_star:.6e} is not above lo={lo}: growth rate at lo "
-            "is not positive (no threshold exists at all when beta - gamma <= 0 "
-            "everywhere)")
-    while hi <= d_star:
-        hi *= 2.0
     return ThresholdResult(
-        d_critical=d_star, bracket=(lo, hi), iterations=1,
+        d_critical=d_star, iterations=1,
         growth_at_critical=infection_growth_rate(K, d_star, m).value)
 
 

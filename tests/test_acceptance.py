@@ -88,7 +88,7 @@ def test_criterion_01_closed_form_battery():
     ok &= np.max(np.abs(endemic.infected - 1.0)) <= 1e-8
     ok &= np.max(np.abs(endemic.susceptible - 1.0)) <= 1e-8
 
-    threshold = critical_dispersal_rate(K, beta, gamma, bracket=(0.1, 10.0))
+    threshold = critical_dispersal_rate(K, beta, gamma)
     ok &= abs(threshold.d_critical - 3.0) <= 1e-5
 
     elapsed = time.perf_counter() - started
@@ -159,8 +159,7 @@ def test_criterion_05_threshold_behavior():
     for k in range(20):
         inst = random_instance(instance_rng(5, k), risk="high")
         K = inst.dispersal
-        threshold = critical_dispersal_rate(K, inst.beta, inst.gamma,
-                                            bracket=(0.05, 1.0))
+        threshold = critical_dispersal_rate(K, inst.beta, inst.gamma)
         below = basic_reproduction_number(K, threshold.d_critical / 2,
                                           inst.beta, inst.gamma).value
         above = basic_reproduction_number(K, 2 * threshold.d_critical,

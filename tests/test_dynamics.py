@@ -70,6 +70,12 @@ class TestIntegrate:
         with pytest.raises(InvalidConfigError):
             IntegratorConfig(dt=0.01, t_end=1.0, snapshot_stride=stride)
 
+    @pytest.mark.parametrize("dt", [0.03, 0.06, 0.07, 2.0])
+    def test_t_end_must_be_whole_number_of_steps(self, dt):
+        # 1.0 / dt steps would end at 0.99, 1.02, 0.98 or before one step
+        with pytest.raises(InvalidConfigError):
+            IntegratorConfig(dt=dt, t_end=1.0)
+
     def test_zero_infection_stays_zero(self, endemic_setup):
         grid, K, beta, gamma, lam, params = endemic_setup
         cfg = IntegratorConfig(dt=0.05, t_end=5.0, snapshot_stride=10)

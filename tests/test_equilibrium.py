@@ -320,7 +320,7 @@ class TestEndemic:
             params.d_S * dfe.field, atol=1e-8)
         assert pair.residual <= 1e-8
 
-    @pytest.mark.parametrize("ratio", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("ratio", [0.1, 0.5, 1.0, 2.0])
     def test_random_instances_obey_bounds(self, ratio):
         rng = np.random.default_rng(32)
         done = 0
@@ -341,6 +341,10 @@ class TestEndemic:
             np.testing.assert_allclose(
                 params.d_S * pair.susceptible + params.d_I * pair.infected,
                 params.d_S * dfe.field, atol=1e-8)
+            # the infection pressure's denominator stays above its floor
+            denom = (params.d_S * dfe.field
+                     + (params.d_S - params.d_I) * pair.infected)
+            assert np.all(denom >= params.d_S * dfe.field * min(1.0, ratio))
             assert pair.bracket_gap <= 1e-8
             assert pair.monotone_defect <= 1e-12
             done += 1

@@ -194,7 +194,18 @@ sweep.count = 4
         report = run_scenario(parse_config(text))
         assert not report.ok
         assert report.outputs["threshold"] is None
+        assert report.errors == [report.outputs["threshold_error"]]
+        assert report.errors[0].startswith("InvalidBracketError: ")
         assert len(report.outputs["rows"]) == 4
+
+    def test_sweep_reports_threshold_outside_its_rates(self):
+        # d* = 3 lies below the swept rates; it is reported all the same
+        text = SWEEP_CONFIG.replace("sweep.lo = 0.1", "sweep.lo = 4")
+        report = run_scenario(parse_config(text))
+        assert report.ok, report.errors
+        assert report.outputs["threshold"]["d_critical"] == pytest.approx(
+            3.0, abs=1e-5)
+        assert report.outputs["rows"][0]["d_I"] == 4.0
 
     def test_validation_failure_reported(self):
         text = SPECTRAL_CONFIG.replace("kernel.h = 1.0", "kernel.h = 0.5")
@@ -259,6 +270,20 @@ sweep.count = 4
         assert report.status == "error"
         assert report.errors[0].startswith(
             "InvalidConfigError: dt and t_end must be finite and positive")
+
+    @pytest.mark.parametrize("bad, key", [
+        ("verify.instances = -5", "verify.instances"),
+        ("verify.instances = 0", "verify.instances"),
+        ("verify.n_max = 7", "verify.n_max"),
+    ])
+    def test_verify_that_checks_nothing_exits_two(self, tmp_path, bad, key):
+        text = f"scenario = verify\nseed = 7\n{bad}\n"
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert info.value.key == key
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert cli_main(["--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
 
     def test_verify_scenario_small(self):
         text = "scenario = verify\nseed = 7\nverify.instances = 8\n"

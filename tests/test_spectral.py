@@ -119,7 +119,7 @@ class TestUnequalCells:
     def test_critical_rate(self, instance):
         # oracle: d* is the top eigenvalue of (Id - K)^{-1} diag(beta - gamma)
         K, beta, gamma = instance
-        res = critical_dispersal_rate(K, beta, gamma, bracket=(1e-3, 1.0))
+        res = critical_dispersal_rate(K, beta, gamma)
         M = np.linalg.solve(np.eye(K.n) - K.entries, np.diag(beta - gamma))
         assert res.d_critical == pytest.approx(np.linalg.eigvals(M).real.max(),
                                                abs=1e-6)
@@ -150,7 +150,7 @@ def test_dense_eigensolve_memory():
     budgets = [
         (lambda: infection_growth_rate(K, 0.1, beta - gamma), 1.5),
         (lambda: basic_reproduction_number(K, 0.1, beta, gamma), 1.5),
-        (lambda: critical_dispersal_rate(K, beta, gamma, (0.05, 10.0)), 2.5),
+        (lambda: critical_dispersal_rate(K, beta, gamma), 2.5),
     ]
     for solve, budget in budgets:
         solve()  # first call: imports and LAPACK set-up
@@ -306,34 +306,29 @@ class TestCriticalDispersalRate:
     def test_hand_instance(self, two_cell_K):
         # constant coefficients: growth is 1.5 - 0.5 d, root at 3
         res = critical_dispersal_rate(two_cell_K, np.full(2, 2.0),
-                                      np.full(2, 0.5), bracket=(0.1, 10.0))
+                                      np.full(2, 0.5))
         assert res.d_critical == pytest.approx(3.0, abs=1e-5)
         assert abs(res.growth_at_critical) <= 1e-6
 
-    def test_auto_expands_upper_end(self, two_cell_K):
-        res = critical_dispersal_rate(two_cell_K, np.full(2, 2.0),
-                                      np.full(2, 0.5), bracket=(0.1, 0.2))
-        assert res.d_critical == pytest.approx(3.0, abs=1e-5)
+    def test_root_returned_wherever_it_lies(self, two_cell_K):
+        # growth is gap - 0.5 d, so the root 2 * gap may lie anywhere
+        for gap in (0.005, 199.5):
+            res = critical_dispersal_rate(two_cell_K, np.full(2, 0.5 + gap),
+                                          np.full(2, 0.5))
+            assert res.d_critical == pytest.approx(2.0 * gap, rel=1e-9)
 
     def test_low_risk_has_no_bracket(self, two_cell_K):
         # growth is -0.1 - 0.5 d < 0 for every rate
         with pytest.raises(InvalidBracketError):
             critical_dispersal_rate(two_cell_K, np.full(2, 0.4),
-                                    np.full(2, 0.5), bracket=(0.1, 10.0))
-
-    def test_lo_above_root_rejected(self, two_cell_K):
-        # the root is 3, so growth at lo=4 is already negative
-        with pytest.raises(InvalidBracketError):
-            critical_dispersal_rate(two_cell_K, np.full(2, 2.0),
-                                    np.full(2, 0.5), bracket=(4.0, 10.0))
+                                    np.full(2, 0.5))
 
     def test_non_dissipative_dispersal_rejected(self, two_cell_K):
         # row mass 1.3 makes Id - K indefinite, so no critical rate exists
         K = DispersalMatrix(entries=[[0.8, 0.5], [0.5, 0.8]],
                             grid=two_cell_K.grid)
         with pytest.raises(PreconditionError):
-            critical_dispersal_rate(K, np.full(2, 2.0), np.full(2, 0.5),
-                                    bracket=(0.1, 10.0))
+            critical_dispersal_rate(K, np.full(2, 2.0), np.full(2, 0.5))
 
     @pytest.mark.parametrize("beta, gamma", [
         (np.where(np.arange(64) == 3, np.nan, 2.0), np.full(64, 0.5)),
@@ -344,7 +339,7 @@ class TestCriticalDispersalRate:
         K = assemble_dispersal(build_grid(64, DomainSpec(0.0, 1.0)),
                                KernelSpec.tophat(0.25))
         with pytest.raises(InvalidArgumentError):
-            critical_dispersal_rate(K, beta, gamma, bracket=(0.1, 10.0))
+            critical_dispersal_rate(K, beta, gamma)
 
     def test_dense_oracle_root(self):
         # oracle: np.linalg.eigh of the symmetrized d (K - Id) + diag(m)
@@ -358,16 +353,14 @@ class TestCriticalDispersalRate:
         rng = np.random.default_rng(22)
         for _ in range(20):
             inst = random_instance(rng, n_max=48, risk="high")
-            res = critical_dispersal_rate(inst.dispersal, inst.beta, inst.gamma,
-                                          bracket=(1e-3, 1.0))
+            res = critical_dispersal_rate(inst.dispersal, inst.beta, inst.gamma)
             d = res.d_critical
             assert abs(mu(inst, d)) <= 1e-9
             assert mu(inst, d * (1 - 1e-6)) > 0 > mu(inst, d * (1 + 1e-6))
-            assert res.bracket[0] == 1e-3 and res.bracket[1] > d
 
     def test_threshold_separates_regimes(self, two_cell_K):
         beta, gamma = np.full(2, 2.0), np.full(2, 0.5)
-        res = critical_dispersal_rate(two_cell_K, beta, gamma, (0.1, 10.0))
+        res = critical_dispersal_rate(two_cell_K, beta, gamma)
         below = basic_reproduction_number(two_cell_K, res.d_critical / 2,
                                           beta, gamma).value
         above = basic_reproduction_number(two_cell_K, 2 * res.d_critical,
