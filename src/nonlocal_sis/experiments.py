@@ -6,7 +6,7 @@ comments.  Each key's value is text, an integer or a number, checked by
 
     scenario                 spectral | equilibrium | simulate |
                              threshold_sweep | verify
-    seed                     integer, defaults to 0
+    seed                     integer >= 0, defaults to 0
     output.dir               optional output directory
     domain.left domain.right grid.n
     kernel.family            tophat | triangle | truncated_gaussian
@@ -16,9 +16,12 @@ comments.  Each key's value is text, an integer or a number, checked by
     init.s.* init.i.*        initial data recipes for simulate
     d_S d_I                  dispersal rates
     integrator.dt .method .t_end .snapshot_stride
-    simulate.tol
+    simulate.tol             > 0, defaults to 1e-4
     sweep.lo sweep.hi sweep.count sweep.spacing
     verify.instances verify.n_max
+
+``make_config`` builds once what the scenario needs, and refuses a value that
+can never run with a ``ConfigError`` naming its key.
 
 Reports are JSON with lexicographically ordered keys; everything except
 the ``timing`` object is byte-stable for a fixed (config, seed).  Scenario
@@ -29,7 +32,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -55,6 +59,8 @@ from .errors import (
     ConfigError,
     InvalidArgumentError,
     InvalidBracketError,
+    InvalidCoefficientError,
+    InvalidConfigError,
     NonlocalSISError,
     SolverFailure,
     SolverInconsistency,
@@ -83,21 +89,49 @@ __all__ = [
 
 SCENARIOS = ("spectral", "equilibrium", "simulate", "threshold_sweep", "verify")
 
-_FIELD_KEYS = {
-    "constant": ("value",),
-    "step": ("c1", "c2", "x_split"),
-    "bump": ("base", "amp", "center", "width"),
-    "table": ("path",),
-}
+_FIELD_KEYS = {"constant": ("value",), "step": ("c1", "c2", "x_split"),
+               "bump": ("base", "amp", "center", "width"), "table": ("path",)}
+_KERNEL_KEYS = {"tophat": ("h",), "triangle": ("h",),
+                "truncated_gaussian": ("sigma", "cutoff")}
+
+
+@dataclass
+class Instance:
+    """A fully assembled problem instance."""
+
+    grid: Grid
+    kernel: KernelSpec
+    beta: CoefficientField
+    gamma: CoefficientField
+    lam: CoefficientField
+    params: ModelParams
+
+    @cached_property
+    def dispersal(self) -> DispersalMatrix:
+        return assemble_dispersal(self.grid, self.kernel)
+
+    @property
+    def gap(self) -> np.ndarray:
+        """Transmission minus recovery at the nodes."""
+        return self.beta.values - self.gamma.values
 
 
 @dataclass
 class ExperimentConfig:
+    """A config's entries and the typed objects ``make_config`` built from
+    them: ``instance`` for every scenario but verify, ``integrator``,
+    ``initial`` and ``tol`` for simulate, ``rates`` for threshold_sweep."""
+
     scenario: str
     seed: int
     entries: dict
     base_dir: Path
     output_dir: str | None = None
+    instance: Instance | None = None
+    integrator: IntegratorConfig | None = None
+    initial: State | None = None
+    tol: float | None = None
+    rates: np.ndarray | None = None
 
     def get(self, key: str, default=None):
         return self.entries.get(key, default)
@@ -114,7 +148,6 @@ def _parse_scalar(raw: str):
 
 def parse_config(text: str, base_dir=None) -> ExperimentConfig:
     """Parse and validate a config document; unknown keys are rejected."""
-    base_dir = Path(base_dir) if base_dir is not None else Path.cwd()
     entries: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -136,7 +169,8 @@ def parse_config(text: str, base_dir=None) -> ExperimentConfig:
 
 
 def make_config(entries: dict, base_dir=None) -> ExperimentConfig:
-    """Validate parsed entries into a config (also used for overrides).
+    """Validate parsed entries into a config (also used for overrides) and
+    build what its scenario needs.
 
     Every value must have its key's type: text, an integer, or a number
     (an integer or a float)."""
@@ -151,11 +185,27 @@ def make_config(entries: dict, base_dir=None) -> ExperimentConfig:
         raise ConfigError("missing required key 'scenario'", key="scenario")
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}", key="scenario")
+    seed = entries.get("seed", 0)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}", key="seed")
 
-    config = ExperimentConfig(scenario=scenario, seed=entries.get("seed", 0),
-                              entries=entries, base_dir=base_dir,
-                              output_dir=entries.get("output.dir"))
-    _validate_semantics(config)
+    config = ExperimentConfig(scenario=scenario, seed=seed, entries=entries,
+                              base_dir=base_dir, output_dir=entries.get("output.dir"))
+    if scenario == "verify":  # verify draws its own instances
+        for key, least in (("verify.instances", 1), ("verify.n_max", 8)):
+            if config.get(key, least) < least:
+                raise ConfigError(f"verify needs {key} >= {least}", key=key)
+        return config
+    config.instance = _build_instance(config)
+    if scenario == "simulate":
+        config.integrator = _integrator(config)
+        config.initial = _initial_data(config, config.instance.grid)
+        config.tol = float(config.get("simulate.tol", 1e-4))
+        if not 0 < config.tol < np.inf:
+            raise ConfigError(f"simulate.tol must be finite and > 0, got {config.tol}",
+                              key="simulate.tol")
+    elif scenario == "threshold_sweep":
+        config.rates = _sweep_rates(config)
     return config
 
 
@@ -201,29 +251,31 @@ def _require(config: ExperimentConfig, key: str):
     return value
 
 
+@contextmanager
+def _naming(config: ExperimentConfig, *keys: str):
+    """Re-raise an invalid-input error of the block as ``ConfigError`` naming
+    the first of ``keys[:-1]`` whose value is not finite and positive, else
+    the last key: the one a constructor checking them in order rejects."""
+    try:
+        yield
+    except (InvalidArgumentError, InvalidCoefficientError, InvalidConfigError) as exc:
+        key = next((k for k in keys[:-1] if not 0 < config.get(k) < np.inf), keys[-1])
+        raise ConfigError(str(exc), key=key) from None
+
+
 def _field_spec(config: ExperimentConfig, prefix: str, n: int) -> FieldSpec:
-    family = config.get(f"{prefix}.family")
-    if family is None:
-        raise ConfigError(f"missing field family for {prefix!r}", key=prefix)
+    family = _require(config, f"{prefix}.family")
     if family not in _FIELD_KEYS:
         raise ConfigError(f"unknown field family {family!r} for {prefix!r}",
                           key=f"{prefix}.family")
-    params = []
-    for name in _FIELD_KEYS[family]:
-        value = config.get(f"{prefix}.{name}")
-        if value is None:
-            raise ConfigError(f"missing {prefix}.{name} for family {family!r}",
-                              key=f"{prefix}.{name}")
-        params.append(value)
+    params = [_require(config, f"{prefix}.{name}") for name in _FIELD_KEYS[family]]
     if family == "table":
         path = config.base_dir / params[0]
         if not path.exists():
             raise ConfigError(f"table for {prefix!r} not found: {path}",
                               key=f"{prefix}.path")
-        try:
+        with _naming(config, f"{prefix}.path"):
             values = load_coefficient_table(path)
-        except InvalidArgumentError as exc:
-            raise ConfigError(str(exc), key=f"{prefix}.path") from None
         if values.size != n:
             raise ConfigError(
                 f"table for {prefix!r} has {values.size} rows, grid has {n}",
@@ -232,113 +284,73 @@ def _field_spec(config: ExperimentConfig, prefix: str, n: int) -> FieldSpec:
     return FieldSpec(family, tuple(float(p) for p in params))
 
 
-def _validate_semantics(config: ExperimentConfig) -> None:
-    if config.scenario == "verify":  # verify draws its own instances
-        for key, least in (("verify.instances", 1), ("verify.n_max", 8)):
-            if config.get(key, least) < least:
-                raise ConfigError(f"verify needs {key} >= {least}", key=key)
-        return
-    for key in ("domain.left", "domain.right", "grid.n", "kernel.family",
-                "d_S", "d_I"):
-        _require(config, key)
-    n = _require(config, "grid.n")
-    family = config.get("kernel.family")
-    if family in ("tophat", "triangle"):
-        _require(config, "kernel.h")
-    elif family == "truncated_gaussian":
-        _require(config, "kernel.sigma")
-        _require(config, "kernel.cutoff")
-    else:
+def _build_instance(config: ExperimentConfig) -> Instance:
+    """The config's grid, kernel, coefficient fields and dispersal rates."""
+    left, right = (float(_require(config, k)) for k in ("domain.left", "domain.right"))
+    with _naming(config, "domain.right" if np.isfinite(left) else "domain.left"):
+        domain = DomainSpec(left, right)
+    with _naming(config, "grid.n"):
+        grid = build_grid(_require(config, "grid.n"), domain)
+
+    family = _require(config, "kernel.family")
+    if family not in _KERNEL_KEYS:
         raise ConfigError(f"unknown kernel family {family!r}", key="kernel.family")
+    widths = {name: float(_require(config, f"kernel.{name}"))
+              for name in _KERNEL_KEYS[family]}
+    with _naming(config, *(f"kernel.{name}" for name in widths)):
+        kernel = KernelSpec(family, **widths)
+
+    fields = []
     for prefix in ("beta", "gamma", "lambda"):
-        _field_spec(config, prefix, n)
-    if config.scenario == "simulate":
-        for key in ("integrator.dt", "integrator.t_end"):
-            _require(config, key)
-        try:
-            grid = _config_grid(config)
-        except InvalidArgumentError:
-            return  # a bad domain or grid is reported by run_scenario
-        _initial_data(config, grid)
-    if config.scenario == "threshold_sweep":
-        lo, hi, count = (_require(config, key)
-                         for key in ("sweep.lo", "sweep.hi", "sweep.count"))
-        if not (0 < lo < hi) or count < 2:
-            raise ConfigError("sweep needs 0 < lo < hi and count >= 2",
-                              key="sweep.lo")
-        spacing = config.get("sweep.spacing", "log")
-        if spacing not in ("log", "linear"):
-            raise ConfigError(f"unknown sweep spacing {spacing!r}",
-                              key="sweep.spacing")
+        spec = _field_spec(config, prefix, grid.n)
+        with _naming(config, prefix):
+            fields.append(build_field(spec, grid, role=prefix))
+    with _naming(config, "d_S", "d_I"):
+        params = ModelParams(*(float(_require(config, key)) for key in ("d_S", "d_I")))
+    return Instance(grid, kernel, *fields, params)
 
 
-@dataclass
-class Instance:
-    """A fully assembled problem instance."""
-
-    grid: Grid
-    kernel: KernelSpec
-    beta: CoefficientField
-    gamma: CoefficientField
-    lam: CoefficientField
-    params: ModelParams
-
-    @cached_property
-    def dispersal(self) -> DispersalMatrix:
-        return assemble_dispersal(self.grid, self.kernel)
-
-    @property
-    def gap(self) -> np.ndarray:
-        """Transmission minus recovery at the nodes."""
-        return self.beta.values - self.gamma.values
+def _integrator(config: ExperimentConfig) -> IntegratorConfig:
+    """The integrator settings, added one at a time so that an error names
+    the key of the setting it rejects."""
+    steps = ("integrator.dt", "integrator.t_end")
+    with _naming(config, *steps):
+        icfg = IntegratorConfig(*(float(_require(config, key)) for key in steps))
+    for name, default in (("method", "rk4"), ("snapshot_stride", 1)):
+        with _naming(config, f"integrator.{name}"):
+            icfg = replace(icfg, **{name: config.get(f"integrator.{name}", default)})
+    return icfg
 
 
-def _config_grid(config: ExperimentConfig) -> Grid:
-    domain = DomainSpec(float(_require(config, "domain.left")),
-                        float(_require(config, "domain.right")))
-    return build_grid(_require(config, "grid.n"), domain)
-
-
-def _initial_data(config: ExperimentConfig,
-                  grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+def _initial_data(config: ExperimentConfig, grid: Grid) -> State:
     """The ``init.s`` and ``init.i`` recipes sampled at the nodes; each must
     be finite and nonnegative, and the infected mass positive, or
     ``ConfigError`` names the offending key."""
     fields = []
     for prefix in ("init.s", "init.i"):
         spec = _field_spec(config, prefix, grid.n)
-        try:
+        with _naming(config, prefix):
             values = sample_field_values(spec, grid)
-        except InvalidArgumentError as exc:
-            raise ConfigError(str(exc), key=prefix) from None
         if not np.all((0.0 <= values) & (values < np.inf)):
             raise ConfigError(f"initial data {prefix!r} must be finite and "
                               "nonnegative", key=prefix)
         fields.append(values)
-    s0, i0 = fields
-    if float(grid.weights @ i0) <= 0:
+    if float(grid.weights @ fields[1]) <= 0:
         raise ConfigError("epidemic run needs positive initial infected mass",
                           key="init.i")
-    return s0, i0
+    return State(*fields)
 
 
-def _build_instance(config: ExperimentConfig) -> Instance:
-    grid = _config_grid(config)
-    family = config.get("kernel.family")
-    if family == "tophat":
-        kernel = KernelSpec.tophat(float(config.get("kernel.h")))
-    elif family == "triangle":
-        kernel = KernelSpec.triangle(float(config.get("kernel.h")))
-    else:
-        kernel = KernelSpec.truncated_gaussian(float(config.get("kernel.sigma")),
-                                               float(config.get("kernel.cutoff")))
-    beta = build_field(_field_spec(config, "beta", grid.n), grid, role="beta")
-    gamma = build_field(_field_spec(config, "gamma", grid.n), grid, role="gamma")
-    lam = build_field(_field_spec(config, "lambda", grid.n), grid, role="lambda")
-    params = ModelParams(d_S=float(_require(config, "d_S")),
-                         d_I=float(_require(config, "d_I")))
-    return Instance(grid=grid, kernel=kernel, beta=beta, gamma=gamma,
-                    lam=lam, params=params)
+def _sweep_rates(config: ExperimentConfig) -> np.ndarray:
+    lo, hi = float(_require(config, "sweep.lo")), float(_require(config, "sweep.hi"))
+    count = _require(config, "sweep.count")
+    if not (0 < lo < hi < np.inf) or count < 2:
+        raise ConfigError("sweep needs finite 0 < lo < hi and count >= 2",
+                          key="sweep.lo")
+    spacing = config.get("sweep.spacing", "log")
+    if spacing not in ("log", "linear"):
+        raise ConfigError(f"unknown sweep spacing {spacing!r}", key="sweep.spacing")
+    return (np.geomspace if spacing == "log" else np.linspace)(lo, hi, count)
 
 
 @dataclass
@@ -375,15 +387,6 @@ class RunReport:
         return out
 
 
-def _integrator_config(config: ExperimentConfig) -> IntegratorConfig:
-    return IntegratorConfig(
-        dt=float(_require(config, "integrator.dt")),
-        t_end=float(_require(config, "integrator.t_end")),
-        method=config.get("integrator.method", "rk4"),
-        snapshot_stride=config.get("integrator.snapshot_stride", 1),
-    )
-
-
 def run_scenario(config: ExperimentConfig) -> RunReport:
     """Execute a scenario; module errors land in the report, not a traceback."""
     started = time.perf_counter()
@@ -392,15 +395,12 @@ def run_scenario(config: ExperimentConfig) -> RunReport:
     validation: dict = {}
     try:
         if config.scenario == "verify":
-            outputs = run_verify_suite(
-                seed=config.seed,
-                instances=config.get("verify.instances", 200),
-                n_max=config.get("verify.n_max", 64),
-            )
+            outputs = run_verify_suite(config.seed, config.get("verify.instances", 200),
+                                       config.get("verify.n_max", 64))
             if outputs["failed"] > 0:
                 errors.append(f"{outputs['failed']} verify properties failed")
         else:
-            inst = _build_instance(config)
+            inst = config.instance
             report = validate_instance(inst.grid, inst.kernel, inst.beta,
                                        inst.gamma, inst.lam, inst.params,
                                        dispersal=inst.dispersal)
@@ -416,12 +416,10 @@ def run_scenario(config: ExperimentConfig) -> RunReport:
         if isinstance(exc, (SolverFailure, SolverInconsistency)):
             message += f" (residual={exc.residual}, iterations={exc.iterations})"
         errors.append(message)
-    status = "ok" if not errors else "error"
-    timing = {"seconds": time.perf_counter() - started}
-    echo = {k: config.entries[k] for k in sorted(config.entries)}
-    return RunReport(scenario=config.scenario, config_echo=echo,
-                     validation=validation, outputs=outputs, status=status,
-                     errors=errors, timing=timing)
+    echo = dict(sorted(config.entries.items()))
+    return RunReport(scenario=config.scenario, config_echo=echo, validation=validation,
+                     outputs=outputs, status="error" if errors else "ok",
+                     errors=errors, timing={"seconds": time.perf_counter() - started})
 
 
 def _run_instance_scenario(config: ExperimentConfig, inst: Instance) -> dict:
@@ -429,46 +427,28 @@ def _run_instance_scenario(config: ExperimentConfig, inst: Instance) -> dict:
     if config.scenario == "spectral":
         report = compute_spectral_report(K, inst.params, inst.beta, inst.gamma)
         return {"spectral": report.to_dict()}
+    if config.scenario == "threshold_sweep":
+        return _run_sweep(config.rates, inst, K)
 
+    # equilibrium and simulate both start from the stationary states
+    dfe = solve_disease_free(K, inst.params.d_S, inst.lam)
+    growth = infection_growth_rate(K, inst.params.d_I, inst.gap).value
+    endemic = (solve_endemic(K, inst.params, inst.beta, inst.gamma, dfe.field)
+               if growth > SIGN_DEADBAND else None)
     if config.scenario == "equilibrium":
-        dfe = solve_disease_free(K, inst.params.d_S, inst.lam)
-        out = {"disease_free": dfe.to_dict()}
-        growth = infection_growth_rate(K, inst.params.d_I, inst.gap)
-        out["growth_rate"] = growth.value
-        if growth.value > SIGN_DEADBAND:
-            endemic = solve_endemic(K, inst.params, inst.beta, inst.gamma,
-                                    dfe.field)
+        out = {"disease_free": dfe.to_dict(), "growth_rate": growth}
+        if endemic is not None:
             out["endemic"] = endemic.to_dict()
         return out
 
-    if config.scenario == "simulate":
-        return _run_simulate(config, inst, K)
-
-    if config.scenario == "threshold_sweep":
-        return _run_sweep(config, inst, K)
-
-    raise ConfigError(f"unhandled scenario {config.scenario!r}", key="scenario")
-
-
-def _run_simulate(config: ExperimentConfig, inst: Instance, K) -> dict:
-    icfg = _integrator_config(config)
-    s0, i0 = _initial_data(config, inst.grid)
-
-    dfe = solve_disease_free(K, inst.params.d_S, inst.lam)
-    growth = infection_growth_rate(K, inst.params.d_I, inst.gap)
-    if growth.value > SIGN_DEADBAND:
-        endemic = solve_endemic(K, inst.params, inst.beta, inst.gamma, dfe.field)
-        target_s, target_i = endemic.susceptible, endemic.infected
-        regime = "persistence"
-    else:
-        target_s, target_i = dfe.field, np.zeros(inst.grid.n)
-        regime = "extinction"
-
-    traj = integrate(State(S=s0, I=i0), icfg, inst.params, K, inst.beta,
+    regime = "extinction" if endemic is None else "persistence"
+    target_s = dfe.field if endemic is None else endemic.susceptible
+    target_i = np.zeros(inst.grid.n) if endemic is None else endemic.infected
+    icfg = config.integrator
+    traj = integrate(config.initial, icfg, inst.params, K, inst.beta,
                      inst.gamma, inst.lam, s_target=target_s)
-    tol = float(config.get("simulate.tol", 1e-4))
     entered = check_convergence(traj, s_target=target_s, i_target=target_i,
-                                tol=tol)
+                                tol=config.tol)
     return {
         "clip_events": traj.clip_events,
         "convergence": {
@@ -476,9 +456,9 @@ def _run_simulate(config: ExperimentConfig, inst: Instance, K) -> dict:
             "regime": regime,
             "target_I": [float(v) for v in target_i],
             "target_S": [float(v) for v in target_s],
-            "tol": tol,
+            "tol": config.tol,
         },
-        "growth_rate": growth.value,
+        "growth_rate": growth,
         "nodes": [float(x) for x in inst.grid.nodes],
         "trajectory": {"dt": icfg.dt, "method": icfg.method,
                        "snapshots": len(traj.times), "t_end": icfg.t_end},
@@ -486,11 +466,7 @@ def _run_simulate(config: ExperimentConfig, inst: Instance, K) -> dict:
     }
 
 
-def _run_sweep(config: ExperimentConfig, inst: Instance, K) -> dict:
-    lo, hi = float(config.get("sweep.lo")), float(config.get("sweep.hi"))
-    log = config.get("sweep.spacing", "log") == "log"
-    rates = (np.geomspace if log else np.linspace)(lo, hi, config.get("sweep.count"))
-
+def _run_sweep(rates: np.ndarray, inst: Instance, K) -> dict:
     rows = []
     for d in rates:
         mu = infection_growth_rate(K, d, inst.gap).value
@@ -519,12 +495,9 @@ def _random_kernel(rng: np.random.Generator, length: float, n: int) -> KernelSpe
     """
     delta = length / n
     family = str(rng.choice(["tophat", "triangle", "truncated_gaussian"]))
-    if family == "tophat":
-        k = int(rng.integers(2, n + 1))
-        return KernelSpec.tophat((k + 0.5) * delta)
-    if family == "triangle":
-        k = int(rng.integers(2, n + 1))
-        return KernelSpec.triangle(k * delta)
+    if family != "truncated_gaussian":
+        k = int(rng.integers(2, n + 1)) + (0.5 if family == "tophat" else 0)
+        return KernelSpec(family, h=k * delta)
     sigma = rng.uniform(0.5, 1.5) * length
     return KernelSpec.truncated_gaussian(sigma, rng.uniform(2.0, 4.0) * sigma)
 
@@ -608,12 +581,9 @@ def run_verify_suite(seed: int, instances: int = 200, n_max: int = 64) -> dict:
     """Seeded random-instance property suite; returns stable pass counts."""
     results = [_verify_one(seed, k, n_max) for k in range(instances)]
     failed = [r for r in results if not r["passed"]]
-    by_check: dict = {}
-    for r in results:
-        for name, ok in r["checks"].items():
-            by_check[name] = by_check.get(name, 0) + (1 if ok else 0)
+    names = sorted({name for r in results for name in r["checks"]})
     return {
-        "by_check": {k: by_check[k] for k in sorted(by_check)},
+        "by_check": {name: sum(r["checks"][name] for r in results) for name in names},
         "failed": len(failed),
         "failed_indices": [r["index"] for r in failed],
         "instances": instances,
@@ -643,7 +613,7 @@ def write_report(report: RunReport, out_dir) -> list[Path]:
 
     packed = report.outputs.get("_trajectory_obj")
     if report.scenario == "simulate" and packed is not None:
-        traj, nodes = packed  # _run_simulate always records |S - target|
+        traj, nodes = packed  # a simulate run always records |S - target|
         n = len(nodes)
         rows = traj.states.reshape(len(traj.times), 2 * n)  # S then I per row
         paths.append(_write_csv(

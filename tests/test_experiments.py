@@ -1,5 +1,7 @@
 import gc
 import json
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -10,6 +12,7 @@ from nonlocal_sis import (
     ConfigError,
     SolverFailure,
     SolverInconsistency,
+    experiments,
     operators,
     parse_config,
     run_scenario,
@@ -18,7 +21,8 @@ from nonlocal_sis import (
 from nonlocal_sis.cli import main as cli_main
 from nonlocal_sis.experiments import load_config, make_config, run_verify_suite
 
-DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+DEMO_CONFIGS = ROOT / "demos" / "configs"
 
 SPECTRAL_CONFIG = """
 # the hand-checkable two-cell instance
@@ -265,11 +269,19 @@ sweep.count = 4
     @pytest.mark.parametrize("line, bad", [
         ("integrator.dt = 0.01", "integrator.dt = nan"),
         ("integrator.t_end = 80.0", "integrator.t_end = inf")])
-    def test_nonfinite_integrator_setting_reported(self, line, bad):
-        report = run_scenario(parse_config(simulate_config().replace(line, bad)))
-        assert report.status == "error"
-        assert report.errors[0].startswith(
-            "InvalidConfigError: dt and t_end must be finite and positive")
+    def test_nonfinite_integrator_setting_reported(self, tmp_path, capsys, line,
+                                                   bad):
+        # refused before anything runs, with the integrator's own message
+        message = "dt and t_end must be finite and positive"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(simulate_config().replace(line, bad))
+        with pytest.raises(ConfigError) as info:
+            load_config(cfg)
+        assert info.value.key == bad.split(" = ")[0]
+        assert str(info.value).startswith(message)
+        assert cli_main(["--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("bad, key", [
         ("verify.instances = -5", "verify.instances"),
@@ -505,3 +517,136 @@ def test_simulate_result_retains_little_beyond_its_snapshots():
     traj, nodes = report.outputs["_trajectory_obj"]
     snapshot_bytes = traj.times.size * 2 * len(nodes) * 8
     assert retained <= 1.2 * snapshot_bytes
+
+
+def with_values(text, values):
+    """``text`` with each key of ``values`` set to its value: a line that
+    sets the key is replaced, a missing key is appended."""
+    rows = [row for row in text.splitlines() if row.split(" = ")[0] not in values]
+    return "\n".join(rows + [f"{key} = {value}" for key, value in values.items()]) + "\n"
+
+
+# Each of these exited 1 with an error report before it was refused up front.
+NEVER_RUNNABLE = [
+    pytest.param({"integrator.method": "rk5"}, "integrator.method",
+                 "unknown method 'rk5'", id="method"),
+    pytest.param({"integrator.dt": 0.06, "integrator.t_end": 1.0}, "integrator.t_end",
+                 "t_end must be a whole number (>= 1) of steps dt", id="t_end"),
+    pytest.param({"integrator.snapshot_stride": 0}, "integrator.snapshot_stride",
+                 "snapshot_stride must be an integer >= 1", id="stride"),
+    pytest.param({"beta.value": 0.0}, "beta",
+                 "coefficient field beta must be finite and strictly positive",
+                 id="beta-zero"),
+    pytest.param({"beta.family": "bump", "beta.base": 1.0, "beta.amp": -2.0,
+                  "beta.center": 0.5, "beta.width": 1.0}, "beta",
+                 "coefficient field beta must be finite and strictly positive",
+                 id="beta-bump"),
+    pytest.param({"gamma.family": "bump", "gamma.base": 1.0, "gamma.amp": 1.0,
+                  "gamma.center": 0.5, "gamma.width": 0.0}, "gamma",
+                 "bump width must be positive", id="gamma-width"),
+    pytest.param({"kernel.h": 0.0}, "kernel.h", "tophat kernel needs finite h > 0",
+                 id="h-zero"),
+    pytest.param({"kernel.h": -0.5}, "kernel.h", "tophat kernel needs finite h > 0",
+                 id="h-negative"),
+    pytest.param({"kernel.family": "truncated_gaussian", "kernel.sigma": 0.2,
+                  "kernel.cutoff": -1.0}, "kernel.cutoff",
+                 "truncated_gaussian needs finite cutoff > 0", id="cutoff"),
+    pytest.param({"domain.right": 0.0}, "domain.right",
+                 "domain must be finite with right (0.0) > left (0.0)", id="domain"),
+    pytest.param({"domain.left": "-inf"}, "domain.left",
+                 "domain must be finite with right (1.0) > left (-inf)",
+                 id="domain-left"),
+    pytest.param({"grid.n": 0}, "grid.n", "grid needs at least one cell", id="grid"),
+    pytest.param({"d_S": 0.0}, "d_S", "dispersal rates must be finite and positive",
+                 id="d_S"),
+    pytest.param({"d_I": "inf"}, "d_I", "dispersal rates must be finite and positive",
+                 id="d_I"),
+    pytest.param({"scenario": "threshold_sweep", "sweep.lo": 0.1, "sweep.hi": "inf",
+                  "sweep.count": 4}, "sweep.lo",
+                 "sweep needs finite 0 < lo < hi and count >= 2", id="sweep-hi"),
+]
+
+
+@pytest.mark.parametrize("values, key, message", NEVER_RUNNABLE)
+def test_config_that_can_never_run_exits_two(tmp_path, capsys, values, key, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(with_values(
+        (DEMO_CONFIGS / "simulate_persistence.cfg").read_text(), values))
+    with pytest.raises(ConfigError) as info:
+        load_config(cfg)
+    assert info.value.key == key
+    assert message in str(info.value)
+    assert cli_main(["--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("text", [
+    "scenario = verify\nseed = -3\nverify.instances = 2\n",
+    SPECTRAL_CONFIG.replace("seed = 7", "seed = -3"),
+], ids=["verify", "spectral"])
+def test_negative_seed_exits_two(tmp_path, capsys, text):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert info.value.key == "seed"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert cli_main(["--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert "seed must be >= 0, got -3" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_negative_seed_override_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scenario = verify\nseed = 3\nverify.instances = 2\n")
+    assert cli_main(["--config", str(cfg), "--out-dir", str(tmp_path),
+                     "--seed", "-3"]) == 2
+    assert "seed must be >= 0, got -3" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("tol", ["-1.0", "0.0", "inf", "nan"])
+def test_simulate_tol_must_be_finite_and_positive(tmp_path, capsys, tol):
+    demo = (DEMO_CONFIGS / "simulate_persistence.cfg").read_text()
+    text = with_values(demo, {"simulate.tol": tol})
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert info.value.key == "simulate.tol"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert cli_main(["--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert "simulate.tol must be finite and > 0" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_table_read_once_per_parse_and_run(tmp_path, monkeypatch):
+    (tmp_path / "beta.csv").write_text("1.5\n2.5\n")
+    reads = []
+    load = experiments.load_coefficient_table
+
+    def counted(path):
+        reads.append(path)
+        return load(path)
+
+    monkeypatch.setattr(experiments, "load_coefficient_table", counted)
+    text = SPECTRAL_CONFIG.replace(
+        "beta.family = constant\nbeta.value = 2.0",
+        "beta.family = table\nbeta.path = beta.csv")
+    report = run_scenario(parse_config(text, base_dir=tmp_path))
+    assert report.ok, report.errors
+    assert len(reads) == 1
+
+
+@pytest.mark.parametrize("text", [
+    (DEMO_CONFIGS / "simulate_persistence.cfg").read_text(),
+    "scenario = verify\nseed = 7\nverify.instances = 2\nverify.n_max = 16\n",
+], ids=["simulate", "verify"])
+def test_benchmark_setup_probe_runs(text):
+    # the benchmark times the CLI's set-up through this script, which
+    # builds the instance with the runner's private _build_instance
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "setup_probe.py"), str(ROOT / "src")],
+        input=text, text=True, capture_output=True, cwd=ROOT, timeout=120,
+        check=True)
+    probe = json.loads(done.stdout.strip().splitlines()[-1])
+    assert probe["passed"] is True
