@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .errors import ConfigError
-from .experiments import load_config, make_config, run_scenario, write_report
+from .experiments import _parse_entries, make_config, run_scenario, write_report
 
 
 def main(argv=None) -> int:
@@ -27,19 +28,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        config = load_config(args.config)
-        if args.scenario is not None or args.seed is not None:
-            entries = dict(config.entries)
-            if args.scenario is not None:
-                entries["scenario"] = args.scenario
-            if args.seed is not None:
-                entries["seed"] = args.seed
-            config = make_config(entries, config.base_dir)
+        path = Path(args.config)
+        entries = _parse_entries(path.read_text(encoding="utf-8"))
+        overrides = {"scenario": args.scenario, "seed": args.seed}
+        entries.update((k, v) for k, v in overrides.items() if v is not None)
+        config = make_config(entries, path.parent)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    out_dir = args.out_dir or config.output_dir or "."
+    out_dir = args.out_dir or config.get("output.dir") or "."
     report = run_scenario(config)
     try:
         paths = write_report(report, out_dir)

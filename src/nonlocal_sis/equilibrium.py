@@ -38,7 +38,7 @@ from .errors import (
     UniquenessViolation,
 )
 from .operators import ROUNDING_SLACK, DispersalMatrix
-from .spectral import _reaction_field, infection_growth_rate
+from .spectral import SIGN_DEADBAND, _reaction_field, infection_growth_rate
 
 __all__ = [
     "EquilibriumResult",
@@ -53,7 +53,6 @@ RESIDUAL_TARGET = 1e-11
 STALL_STEP = 1e-14
 ITERATION_CAP = 100_000
 NEWTON_CAP = 50
-GROWTH_ZERO = 1e-10
 
 
 def _fresh_residual(K: DispersalMatrix, d: float, u: np.ndarray,
@@ -320,7 +319,7 @@ def solve_endemic(K: DispersalMatrix, params: ModelParams, beta, gamma,
     m = beta_v - gamma_v
 
     growth = infection_growth_rate(K, d_i, m)
-    if growth.value <= GROWTH_ZERO:
+    if growth.value <= SIGN_DEADBAND:
         raise NoEndemicState(
             f"infection growth rate {growth.value:.3e} is not positive; "
             "no endemic state exists")
@@ -368,7 +367,7 @@ def solve_logistic_stationary(K: DispersalMatrix, d: float, b, a) -> Equilibrium
         raise NoPositiveState("quadratic damping must be strictly positive")
 
     growth = infection_growth_rate(K, d, b_v)
-    if growth.value <= GROWTH_ZERO:
+    if growth.value <= SIGN_DEADBAND:
         raise NoPositiveState(
             f"principal eigenvalue {growth.value:.3e} is not positive; "
             "only the trivial state exists")

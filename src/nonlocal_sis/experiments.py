@@ -21,7 +21,10 @@ comments.  Each key's value is text, an integer or a number, checked by
     verify.instances verify.n_max
 
 ``make_config`` builds once what the scenario needs, and refuses a value that
-can never run with a ``ConfigError`` naming its key.
+can never run with a ``ConfigError`` naming its key; for simulate that
+includes an ``integrator.dt`` beyond the integrator's stability budget for
+the instance's rates.  The CLI writes its ``--scenario`` and ``--seed``
+overrides into the parsed entries, so each run builds its config once.
 
 Reports are JSON with lexicographically ordered keys; everything except
 the ``timing`` object is byte-stable for a fixed (config, seed).  Scenario
@@ -53,7 +56,8 @@ from .domain import (
     sample_field_values,
     validate_instance,
 )
-from .dynamics import IntegratorConfig, State, check_convergence, integrate
+from .dynamics import (IntegratorConfig, State, _check_budget, check_convergence,
+                       integrate)
 from .equilibrium import solve_disease_free, solve_endemic
 from .errors import (
     ConfigError,
@@ -126,7 +130,6 @@ class ExperimentConfig:
     seed: int
     entries: dict
     base_dir: Path
-    output_dir: str | None = None
     instance: Instance | None = None
     integrator: IntegratorConfig | None = None
     initial: State | None = None
@@ -148,6 +151,11 @@ def _parse_scalar(raw: str):
 
 def parse_config(text: str, base_dir=None) -> ExperimentConfig:
     """Parse and validate a config document; unknown keys are rejected."""
+    return make_config(_parse_entries(text), base_dir)
+
+
+def _parse_entries(text: str) -> dict:
+    """A config document's ``key = value`` entries; unknown keys are rejected."""
     entries: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -164,8 +172,7 @@ def parse_config(text: str, base_dir=None) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}",
                               line=lineno, key=key)
         entries[key] = raw if _key_type(key) is str else _parse_scalar(raw)
-
-    return make_config(entries, base_dir)
+    return entries
 
 
 def make_config(entries: dict, base_dir=None) -> ExperimentConfig:
@@ -190,7 +197,7 @@ def make_config(entries: dict, base_dir=None) -> ExperimentConfig:
         raise ConfigError(f"seed must be >= 0, got {seed}", key="seed")
 
     config = ExperimentConfig(scenario=scenario, seed=seed, entries=entries,
-                              base_dir=base_dir, output_dir=entries.get("output.dir"))
+                              base_dir=base_dir)
     if scenario == "verify":  # verify draws its own instances
         for key, least in (("verify.instances", 1), ("verify.n_max", 8)):
             if config.get(key, least) < least:
@@ -199,6 +206,10 @@ def make_config(entries: dict, base_dir=None) -> ExperimentConfig:
     config.instance = _build_instance(config)
     if scenario == "simulate":
         config.integrator = _integrator(config)
+        inst = config.instance
+        with _naming(config, "integrator.dt"):
+            _check_budget(config.integrator, max(inst.params.d_S, inst.params.d_I),
+                          float(inst.beta.values.max()), float(inst.gamma.values.max()))
         config.initial = _initial_data(config, config.instance.grid)
         config.tol = float(config.get("simulate.tol", 1e-4))
         if not 0 < config.tol < np.inf:
@@ -344,9 +355,10 @@ def _initial_data(config: ExperimentConfig, grid: Grid) -> State:
 def _sweep_rates(config: ExperimentConfig) -> np.ndarray:
     lo, hi = float(_require(config, "sweep.lo")), float(_require(config, "sweep.hi"))
     count = _require(config, "sweep.count")
-    if not (0 < lo < hi < np.inf) or count < 2:
-        raise ConfigError("sweep needs finite 0 < lo < hi and count >= 2",
-                          key="sweep.lo")
+    key = ("sweep.count" if count < 2 else "sweep.hi" if not abs(hi) < np.inf
+           else "sweep.lo" if not 0 < lo < hi else None)
+    if key is not None:
+        raise ConfigError("sweep needs finite 0 < lo < hi and count >= 2", key=key)
     spacing = config.get("sweep.spacing", "log")
     if spacing not in ("log", "linear"):
         raise ConfigError(f"unknown sweep spacing {spacing!r}", key="sweep.spacing")

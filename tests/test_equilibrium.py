@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -189,6 +190,22 @@ def test_stationary_solvers_reject_invalid_inputs(call, endemic_setup):
     _, K, _, _, _, params = endemic_setup
     with pytest.raises(InvalidArgumentError):
         call(K, params)
+
+
+def test_growth_inside_sign_deadband_admits_no_positive_state(endemic_setup,
+                                                               monkeypatch):
+    # the runner and both solvers read a growth rate within
+    # spectral.SIGN_DEADBAND of zero as zero
+    _, K, beta, gamma, lam, params = endemic_setup
+    dfe = solve_disease_free(K, params.d_S, lam).field
+    growth = equilibrium.infection_growth_rate
+    monkeypatch.setattr(equilibrium, "infection_growth_rate", lambda *args:
+                        dataclasses.replace(growth(*args), value=5e-9))
+    with pytest.raises(NoEndemicState):
+        solve_endemic(K, params, beta, gamma, dfe)
+    with pytest.raises(NoPositiveState):
+        solve_logistic_stationary(K, params.d_I, beta.values - gamma.values,
+                                  beta.values / dfe)
 
 
 class TestTwoSidedDriver:

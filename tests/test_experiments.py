@@ -113,7 +113,10 @@ class TestParseConfig:
         ("seed = 7", "seed = 7.5", "seed"),
         ("sweep.spacing = log", "sweep.spacing = cubic", "sweep.spacing"),
         ("sweep.lo = 0.1", "sweep.lo = 20.0", "sweep.lo"),
-        ("sweep.count = 4", "sweep.count = 1", "sweep.lo"),
+        ("sweep.lo = 0.1", "sweep.lo = 0.0", "sweep.lo"),
+        ("sweep.lo = 0.1", "sweep.lo = nan", "sweep.lo"),
+        ("sweep.hi = 10.0", "sweep.hi = nan", "sweep.hi"),
+        ("sweep.count = 4", "sweep.count = 1", "sweep.count"),
     ])
     def test_bad_value_exits_two(self, tmp_path, line, bad, key):
         text = SWEEP_CONFIG.replace(line, bad)
@@ -127,7 +130,7 @@ class TestParseConfig:
 
     def test_values_typed_by_key(self):
         config = parse_config(SWEEP_CONFIG + "output.dir = 2024\n")
-        assert config.output_dir == "2024"
+        assert config.get("output.dir") == "2024"
         assert config.get("sweep.count") == 4
         assert config.get("d_S") == 1.0
         entries = dict(config.entries, seed="7")
@@ -535,6 +538,8 @@ NEVER_RUNNABLE = [
                  "unknown method 'rk5'", id="method"),
     pytest.param({"integrator.dt": 0.06, "integrator.t_end": 1.0}, "integrator.t_end",
                  "t_end must be a whole number (>= 1) of steps dt", id="t_end"),
+    pytest.param({"integrator.dt": 0.5}, "integrator.dt",
+                 "stability budget violated", id="dt-budget"),
     pytest.param({"integrator.snapshot_stride": 0}, "integrator.snapshot_stride",
                  "snapshot_stride must be an integer >= 1", id="stride"),
     pytest.param({"beta.value": 0.0}, "beta",
@@ -565,7 +570,7 @@ NEVER_RUNNABLE = [
     pytest.param({"d_I": "inf"}, "d_I", "dispersal rates must be finite and positive",
                  id="d_I"),
     pytest.param({"scenario": "threshold_sweep", "sweep.lo": 0.1, "sweep.hi": "inf",
-                  "sweep.count": 4}, "sweep.lo",
+                  "sweep.count": 4}, "sweep.hi",
                  "sweep needs finite 0 < lo < hi and count >= 2", id="sweep-hi"),
     pytest.param({"scenario": "verify", "seed": -3, "verify.instances": 2}, "seed",
                  "seed must be >= 0, got -3", id="seed-verify"),
@@ -615,6 +620,53 @@ def test_table_read_once_per_parse_and_run(tmp_path, monkeypatch):
     report = run_scenario(parse_config(text, base_dir=tmp_path))
     assert report.ok, report.errors
     assert len(reads) == 1
+
+
+@pytest.mark.parametrize("overrides", [[], ["--seed", "3"],
+                                       ["--scenario", "equilibrium", "--seed", "3"]],
+                         ids=["none", "seed", "scenario-seed"])
+def test_cli_builds_config_once(tmp_path, monkeypatch, overrides):
+    # an override edits the parsed entries, so the file's own scenario is
+    # not built first
+    (tmp_path / "beta.csv").write_text("1.5\n2.5\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SPECTRAL_CONFIG.replace(
+        "beta.family = constant\nbeta.value = 2.0",
+        "beta.family = table\nbeta.path = beta.csv"))
+    builds, reads = [], []
+    make, load = experiments.make_config, experiments.load_coefficient_table
+
+    def counted_make(*args):
+        builds.append(args)
+        return make(*args)
+
+    def counted_load(path):
+        reads.append(path)
+        return load(path)
+
+    monkeypatch.setattr(experiments, "make_config", counted_make)
+    monkeypatch.setattr("nonlocal_sis.cli.make_config", counted_make)
+    monkeypatch.setattr(experiments, "load_coefficient_table", counted_load)
+    assert cli_main(["--config", str(cfg), "--out-dir", str(tmp_path / "out"),
+                     *overrides]) == 0
+    assert len(builds) == 1
+    assert len(reads) == 1
+
+
+def test_scenario_override_needs_only_its_own_keys(tmp_path):
+    # the simulate demo without its initial infected data cannot simulate,
+    # but its instance is all that the spectral scenario needs
+    demo = (DEMO_CONFIGS / "simulate_persistence.cfg").read_text()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(row for row in demo.splitlines(keepends=True)
+                           if not row.startswith("init.i.")))
+    assert cli_main(["--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert not (tmp_path / "report.json").exists()
+    assert cli_main(["--config", str(cfg), "--out-dir", str(tmp_path),
+                     "--scenario", "spectral"]) == 0
+    loaded = json.loads((tmp_path / "report.json").read_text())
+    assert loaded["scenario"] == "spectral"
+    assert loaded["status"] == "ok"
 
 
 @pytest.mark.parametrize("text", [

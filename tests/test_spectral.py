@@ -7,6 +7,7 @@ import scipy.linalg
 from nonlocal_sis import (
     DispersalMatrix,
     DomainSpec,
+    FieldSpec,
     InvalidArgumentError,
     InvalidBracketError,
     KernelSpec,
@@ -21,6 +22,7 @@ from nonlocal_sis import (
     extreme_eigenpair,
     infection_growth_rate,
     recovery_spectral_bound,
+    sample_field_values,
 )
 from nonlocal_sis.experiments import random_instance
 from nonlocal_sis import spectral
@@ -440,3 +442,25 @@ def test_grid_refinement_stability():
         values[n] = (mu, r0)
     for a, b in zip(values[32], values[64]):
         assert abs(a - b) <= 0.02 * max(abs(a), abs(b))
+
+
+@pytest.mark.parametrize("kernel", [KernelSpec.triangle(0.25),
+                                    KernelSpec.truncated_gaussian(0.1, 0.8)],
+                         ids=["triangle", "gaussian"])
+def test_threshold_quantities_converge_at_second_order(kernel):
+    # mu, R0 and d* of the continuum problem approximated at n = 64 ... 512:
+    # each halving of the cell divides their change by about 4.  The tophat
+    # (ratios 2.0 to 2.7) and a gaussian cut off at 3 sigma (1.84, then
+    # -2.08) do not converge at second order on these grids.
+    values = []
+    for n in (64, 128, 256, 512):
+        grid = build_grid(n, DomainSpec(0.0, 1.0))
+        K = assemble_dispersal(grid, kernel)
+        beta = sample_field_values(FieldSpec.bump(1.0, 1.5, 0.5, 0.2), grid)
+        gamma = np.full(n, 0.9)
+        values.append([infection_growth_rate(K, 1.0, beta - gamma).value,
+                       basic_reproduction_number(K, 1.0, beta, gamma).value,
+                       critical_dispersal_rate(K, beta, gamma).d_critical])
+    diffs = -np.diff(values, axis=0)
+    ratios = diffs[:-1] / diffs[1:]
+    assert np.all((3.5 <= ratios) & (ratios <= 4.5)), ratios
