@@ -21,10 +21,9 @@ comments.  Each key's value is text, an integer or a number, checked by
     verify.instances verify.n_max
 
 ``make_config`` builds once what the scenario needs, and refuses a value that
-can never run with a ``ConfigError`` naming its key; for simulate that
-includes an ``integrator.dt`` beyond the integrator's stability budget for
-the instance's rates.  The CLI writes its ``--scenario`` and ``--seed``
-overrides into the parsed entries, so each run builds its config once.
+can never run, such as a simulate ``integrator.dt`` over the stability
+budget, with a ``ConfigError`` naming its key.  The CLI writes ``--scenario``
+and ``--seed`` into the parsed entries before that one build.
 
 Reports are JSON with lexicographically ordered keys; everything except
 the ``timing`` object is byte-stable for a fixed (config, seed).  Scenario
