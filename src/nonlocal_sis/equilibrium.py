@@ -11,13 +11,13 @@ The endemic state and the logistic stationary state differ only in their
 reaction term and its slope, relaxation constant and bracket; one driver
 solves both from two sides.  From below it iterates the classical relaxed
 monotone map ``u <- u + F(u)/rho``, with a relaxation constant ``rho`` large
-enough that the map is order-preserving on the bracket, upward from a small
-multiple of the principal eigenvector (a subsolution), with one evaluation
-of ``F`` per step.  From above it runs Newton's method from an explicit
-supersolution; both reactions are concave, so the Newton iterates decrease
-monotonically to the root.  Both limits must agree, which is exactly the
-uniqueness statement for these problems.  The certified residual bound
-of the limit must be at most 1e-8.
+enough that the map is order-preserving on the bracket, upward from a
+closed-form multiple of the principal eigenvector, checked to be a
+subsolution, with one evaluation of ``F`` per step.  From above it runs
+Newton's method from an explicit supersolution; both reactions are
+concave, so the Newton iterates decrease monotonically to the root.  Both
+limits must agree, which is exactly the uniqueness statement for these
+problems.  The certified residual bound of the limit must be at most 1e-8.
 """
 
 from __future__ import annotations
@@ -161,53 +161,40 @@ def solve_disease_free(K: DispersalMatrix, d_S: float, lam) -> EquilibriumResult
     return EquilibriumResult(field=u, residual=residual, iterations=1)
 
 
-def _subsolution_scale(F: Callable[[np.ndarray], np.ndarray], psi: np.ndarray,
-                       cap: float) -> float:
-    """Halve a starting amplitude until ``F(eps * psi) >= 0`` at every node.
-
-    On failure the error carries the largest violation ``-min F`` at the
-    last amplitude tried.
-    """
-    eps = cap
-    for halvings in range(1, 201):
-        values = F(eps * psi)
-        if np.all(values >= 0.0):
-            return eps
-        eps *= 0.5
-    raise SolverFailure("no valid subsolution amplitude found by halving",
-                        residual=float(-np.min(values)), iterations=halvings)
-
-
 def _two_sided_solve(K: DispersalMatrix, d: float,
                      reaction: Callable[[np.ndarray], np.ndarray],
                      slope: Callable[[np.ndarray], np.ndarray], rho: float,
-                     high: np.ndarray, psi: np.ndarray,
-                     cap: float) -> tuple[EquilibriumResult, float]:
+                     sub: np.ndarray,
+                     high: np.ndarray) -> tuple[EquilibriumResult, float]:
     """Positive root of ``F(u) = d (K u - u) + reaction(u)`` in the bracket
-    ``[eps * psi, high]``; returns the limit from above and its gap to the
-    limit from below.
+    ``[sub, high]``; returns the limit from above and its gap to the limit
+    from below.
 
-    ``eps <= cap`` is the largest halving of ``cap`` that makes ``eps * psi``
-    a subsolution.  The relaxed map ``u <- u + F(u)/rho`` runs upward from
-    it, evaluating ``F`` once per step: the values of the residual test are
-    the next increment.  Newton's method runs downward from the
-    supersolution ``high`` (see ``_monotone_newton``).  Iterates of both are
-    clamped to ``[max(sub, 0), high]`` (a no-op in exact arithmetic).
-    ``monotone_defect`` records the largest movement against the expected
-    direction, which should be at roundoff level.  ``iterations`` counts
-    the relaxed steps and the Newton steps.  The reported ``residual`` is
-    the certified bound of ``_fresh_residual`` at the limit; above
-    ``AGREEMENT_TOL`` (or NaN) it raises ``SolverInconsistency``.
+    The closed-form lower end ``sub`` is checked with the first ``F(sub)``
+    of the relaxed map ``u <- u + F(u)/rho``: a node with ``F(sub) < 0`` (or
+    NaN) raises ``SolverFailure`` at once, with residual ``-min F(sub)`` and
+    zero iterations.  The map runs upward from ``sub``, one ``F`` per step:
+    the values of the residual test are the next increment.  Newton's method
+    runs downward from the supersolution ``high`` (see ``_monotone_newton``).
+    Iterates of both are clamped to ``[max(sub, 0), high]`` (a no-op in
+    exact arithmetic).  ``monotone_defect`` records the largest movement
+    against the expected direction, which should be at roundoff level.
+    ``iterations`` counts the relaxed steps and the Newton steps.  The
+    reported ``residual`` is the certified bound of ``_fresh_residual`` at
+    the limit; above ``AGREEMENT_TOL`` (or NaN) it raises
+    ``SolverInconsistency``.
     """
     def F(u: np.ndarray) -> np.ndarray:
         return d * (K.matvec(u) - u) + reaction(u)
 
-    sub = _subsolution_scale(F, psi, cap) * psi
     floor = np.maximum(sub, 0.0)
     up = sub
     relaxed = 0
     monotone_defect = 0.0
     values = F(up)
+    if not np.all(values >= 0.0):
+        raise SolverFailure("lower end of the bracket is not a subsolution",
+                            residual=float(-np.min(values)), iterations=0)
     residual = float(np.max(np.abs(values)))
     while residual > RESIDUAL_TARGET:
         if relaxed >= ITERATION_CAP:
@@ -304,10 +291,10 @@ def solve_endemic(K: DispersalMatrix, params: ModelParams, beta, gamma,
     eliminating the susceptible compartment through the conserved
     combination ``d_S S + d_I I = d_S S_dfe``.  The bracket is
     ``[eps * psi, (d_S/d_I) * S_dfe]`` with ``psi`` the principal
-    eigenvector of the linearized infection operator, and the susceptible
-    profile is recovered from the conservation identity afterwards.  A
-    ``beta``, ``gamma`` or ``dfe`` that is not a finite positive field of
-    length n raises ``InvalidArgumentError``.
+    eigenvector of the linearized infection operator and ``eps`` in closed
+    form, and the susceptible profile is recovered from the conservation
+    identity afterwards.  A ``beta``, ``gamma`` or ``dfe`` that is not a
+    finite positive field of length n raises ``InvalidArgumentError``.
     """
     d_s, d_i = params.d_S, params.d_I
     beta_v, gamma_v = _reaction_field(K, d_i, beta), _reaction_field(K, d_i, gamma)
@@ -325,9 +312,14 @@ def solve_endemic(K: DispersalMatrix, params: ModelParams, beta, gamma,
             "no endemic state exists")
 
     high = (d_s / d_i) * dfe
-    # Every field the reaction sees is clamped to [floor, high] or is
-    # eps * psi with eps <= 0.1 min(high), and on that set the denominator
-    # d_S S_dfe + (d_S - d_I) I is at least denom_floor > 0.
+    # F(eps psi) >= 0 wherever eps e <= mu d_S S_dfe (mu psi = d_I (K psi -
+    # psi) + m psi, e = psi (d_S beta - mu (d_S - d_I))); 1/2 covers the
+    # eigenpair's residual.  eps <= 0.1 min(high) keeps the denominator
+    # d_S S_dfe + (d_S - d_I) I >= denom_floor > 0 on [eps psi, high].
+    mu, psi = growth.value, growth.vector
+    e = psi * (d_s * beta_v - mu * (d_s - d_i))
+    eps = min(0.1 * float(np.min(high)), 0.5 * float(
+        np.min(mu * d_s * dfe[e > 0] / e[e > 0], initial=np.inf)))
     denom_floor = d_s * dfe * min(1.0, d_s / d_i)
 
     def reaction(I: np.ndarray) -> np.ndarray:
@@ -344,8 +336,7 @@ def solve_endemic(K: DispersalMatrix, params: ModelParams, beta, gamma,
         2.0 * d_s * dfe + abs(d_s - d_i) * high) / denom_floor**2
     rho = 1.1 * (d_i + float(np.max(bound)))
 
-    res, gap = _two_sided_solve(K, d_i, reaction, slope, rho, high,
-                                growth.vector, 0.1 * float(np.min(high)))
+    res, gap = _two_sided_solve(K, d_i, reaction, slope, rho, eps * psi, high)
     infected = res.field
     susceptible = (d_s * dfe - d_i * infected) / d_s
     return EndemicPair(susceptible=susceptible, infected=infected,
@@ -376,7 +367,6 @@ def solve_logistic_stationary(K: DispersalMatrix, d: float, b, a) -> Equilibrium
     slope = np.maximum(np.abs(b_v), np.abs(2.0 * a_v * high_const - b_v))
     rho = 1.1 * (d + float(np.max(slope)))
     cap = min(0.1 * high_const, growth.value / (2.0 * float(np.max(a_v))))
-    res, _ = _two_sided_solve(K, d, lambda u: b_v * u - a_v * u * u,
-                              lambda u: b_v - 2.0 * a_v * u, rho,
-                              np.full(K.n, high_const), growth.vector, cap)
-    return res
+    return _two_sided_solve(K, d, lambda u: b_v * u - a_v * u * u,
+                            lambda u: b_v - 2.0 * a_v * u, rho,
+                            cap * growth.vector, np.full(K.n, high_const))[0]

@@ -221,12 +221,27 @@ class TestTwoSidedDriver:
 
         with pytest.raises(UniquenessViolation, match="disagree"):
             equilibrium._two_sided_solve(two_cell_K, 1.0, reaction, slope, 60.0,
-                                         np.full(2, 4.0), np.ones(2), 0.5)
+                                         np.full(2, 0.5), np.full(2, 4.0))
+
+    def test_lower_end_that_is_no_subsolution_fails_at_once(self, two_cell_K):
+        # F(sub) > 0 at the first node and < 0 at the second
+        def reaction(u):
+            return 1.5 * u - u * u
+
+        sub = np.array([0.1, 2.0])
+        values = 1.0 * (two_cell_K.matvec(sub) - sub) + reaction(sub)
+        assert values[0] > 0 > values[1]
+        with pytest.raises(SolverFailure, match="not a subsolution") as info:
+            equilibrium._two_sided_solve(
+                two_cell_K, 1.0, reaction, lambda u: 1.5 - 2.0 * u, 5.0, sub,
+                np.full(2, 1.5))
+        assert info.value.iterations == 0
+        assert info.value.residual == -np.min(values) > 0
 
     def test_no_subsolution_reports_diagnostics(self, endemic_setup,
                                                 monkeypatch):
-        # a growth eigenvector of the wrong sign makes every amplitude
-        # fail the subsolution test
+        # a growth eigenvector of the wrong sign makes the closed-form lower
+        # end fail the subsolution check before the first step
         grid, K, beta, gamma, lam, params = endemic_setup
         true_growth = equilibrium.infection_growth_rate
 
@@ -237,7 +252,7 @@ class TestTwoSidedDriver:
         monkeypatch.setattr(equilibrium, "infection_growth_rate", flipped)
         with pytest.raises(SolverFailure, match="subsolution") as info:
             solve_endemic(K, params, beta, gamma, np.full(2, 2.0))
-        assert info.value.iterations == 200
+        assert info.value.iterations == 0
         assert info.value.residual is not None and info.value.residual > 0
 
     def test_newton_cap_reports_diagnostics(self, endemic_setup, monkeypatch):
@@ -254,30 +269,22 @@ class TestTwoSidedDriver:
         with pytest.raises(SolverFailure, match="Jacobian solve") as info:
             equilibrium._two_sided_solve(
                 two_cell_K, 1.0, lambda u: 1.5 * u - u * u,
-                lambda u: np.full(2, 0.5), 5.0, np.full(2, 1.5), np.ones(2),
-                0.1)
+                lambda u: np.full(2, 0.5), 5.0, np.full(2, 0.1),
+                np.full(2, 1.5))
         assert info.value.iterations == 0
         assert info.value.residual > equilibrium.RESIDUAL_TARGET
 
     @staticmethod
     def _count_matvecs(K, monkeypatch):
-        """Count ``K.matvec`` calls, and separately those made while
-        searching for the subsolution amplitude."""
-        calls = SimpleNamespace(total=0, subsolution=0)
-        matvec, scale = K.matvec, equilibrium._subsolution_scale
+        """Count ``K.matvec`` calls."""
+        calls = SimpleNamespace(total=0)
+        matvec = K.matvec
 
         def counted_matvec(u):
             calls.total += 1
             return matvec(u)
 
-        def counted_scale(*args):
-            before = calls.total
-            eps = scale(*args)
-            calls.subsolution += calls.total - before
-            return eps
-
         monkeypatch.setattr(K, "matvec", counted_matvec)
-        monkeypatch.setattr(equilibrium, "_subsolution_scale", counted_scale)
         return calls
 
     def test_one_dispersal_product_per_endemic_step(self, two_cell_K,
@@ -291,7 +298,7 @@ class TestTwoSidedDriver:
         assert pair.iterations >= 1000
         # growth-rate residual and one residual test per starting point;
         # a dense Newton solve makes no product
-        assert calls.total <= pair.iterations + calls.subsolution + 3
+        assert calls.total <= pair.iterations + 3
 
     def test_one_dispersal_product_per_logistic_step(self, two_cell_K,
                                                      monkeypatch):
@@ -301,7 +308,7 @@ class TestTwoSidedDriver:
         res = solve_logistic_stationary(two_cell_K, 1.0, np.full(2, 0.52),
                                         np.ones(2))
         assert res.iterations >= 1000
-        assert calls.total <= res.iterations + calls.subsolution + 3
+        assert calls.total <= res.iterations + 3
 
 
 class TestEndemic:
