@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from nonlocal_sis import (
     DispersalMatrix,
     DomainSpec,
+    FieldSpec,
     InvalidArgumentError,
     KernelSpec,
     ModelParams,
@@ -23,6 +24,7 @@ from nonlocal_sis import (
     build_grid,
     equilibrium,
     operators,
+    sample_field_values,
     solve_disease_free,
     solve_endemic,
     solve_logistic_stationary,
@@ -372,6 +374,22 @@ class TestEndemic:
             assert pair.bracket_gap <= 1e-8
             assert pair.monotone_defect <= 1e-12
             done += 1
+
+    @pytest.mark.xfail(strict=True, raises=SolverFailure, reason=(
+        "ROADMAP item 2: the loose relaxation constant (rho ~ 4512 here) "
+        "needs over 100,000 relaxed steps; the tight one (~4.7) needs ~600"))
+    def test_fast_susceptible_dispersal_solves(self, monkeypatch):
+        # the persistence-n64 benchmark instance with d_S = 4; a lower cap
+        # makes the loose constant fail in a fraction of a second
+        grid = build_grid(64, DomainSpec(0.0, 1.0))
+        K = assemble_dispersal(grid, KernelSpec.triangle(0.25))
+        beta = sample_field_values(FieldSpec.bump(1.0, 1.5, 0.5, 0.2), grid)
+        params = ModelParams(d_S=4.0, d_I=0.1)
+        dfe = solve_disease_free(K, params.d_S, np.ones(64)).field
+        monkeypatch.setattr(equilibrium, "ITERATION_CAP", 5_000)
+        pair = solve_endemic(K, params, beta, np.full(64, 0.9), dfe)
+        assert pair.bracket_gap <= 1e-8
+        assert pair.residual <= 1e-8
 
 
 class TestLogisticStationary:
