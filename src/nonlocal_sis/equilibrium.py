@@ -3,9 +3,10 @@
 The disease-free profile solves a linear balance by one shifted solve
 ``K.shifted_solve`` (dense LU, or Levinson's recursion on the Toeplitz
 column when K is matrix-free), certified by a residual bound: the residual
-from one dense or FFT product of K, which does not share the solve's path,
-plus a rigorous bound on its rounding error.  The same certificate checks
-the other two states.
+from one product of K by direct sums (dense rows, or the band of the
+Toeplitz column), which does not share the solve's path, plus a rigorous
+bound on its rounding error.  The same certificate checks the other two
+states.
 
 The endemic state and the logistic stationary state differ only in their
 reaction term and its slope, relaxation constant and bracket; one driver
@@ -61,37 +62,29 @@ def _fresh_residual(K: DispersalMatrix, d: float, u: np.ndarray,
     ``d (K u - u) + reaction`` of a node field ``u`` (``reaction`` taken as
     given); NaN if anything is not finite.
 
-    ``r = fl(d (g - u) + reaction)`` is evaluated with one product ``g`` of
-    ``K.certified_product``, which also bounds ``|g - K u|`` (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2002, sections 3.1
-    and 24.1).  Its dense or FFT product is a path independent of the
-    direct or Newton solve that produced ``u``.  The three roundings of
-    ``r`` give ``r = d (g - u)(1 + theta_3) + reaction (1 + delta)`` with
-    ``|theta_3| <= gamma_3`` and ``|delta| <= unit = 2**-53`` (Higham,
-    Lemma 3.1), so at each node
+    ``r = fl(d (g - u) + reaction)`` is evaluated with the direct sums ``g``
+    of ``K.certified_product``, which also bound ``|g - K u|`` at each node
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
+    section 3.1).  Those sums are a path independent of the direct or
+    Newton solve that produced ``u``.  The three roundings of ``r`` give
+    ``r = d (g - u)(1 + theta_3) + reaction (1 + delta)`` with ``|theta_3|
+    <= gamma_3`` and ``|delta| <= unit = 2**-53`` (Higham, Lemma 3.1), so at
+    each node
 
         |exact| <= |r| + d |g - K u| + gamma_3 (d |g - u| + |reaction|).
 
     The certificate is ``max(|r| + bound)``, with ``gamma_4`` in place of
     ``gamma_3`` to cover the rounding of that last sum (``unit |r|`` is
     below ``unit (1 + gamma_3)(d |g - u| + |reaction|)``), and
-    ``ROUNDING_SLACK`` and ``2**-1070`` as in ``certified_product``.  The
-    FFT bound grows with ``||u||_2``; where it is too coarse to certify
-    (large fields under a narrow kernel) the band of K is summed directly
-    instead.
+    ``ROUNDING_SLACK`` and ``2**-1070`` as in ``certified_product``.
     """
-    def certify(gain: np.ndarray, error) -> float:
-        diff = gain - u
-        r = d * diff + reaction
-        gamma_4 = 4.0 * 2.0**-53 / (1.0 - 4.0 * 2.0**-53)
-        bound = ROUNDING_SLACK * (d * error + gamma_4 * (
-            d * np.abs(diff) + np.abs(reaction))) + 2.0**-1070
-        return float(np.max(np.abs(r) + bound))
-
-    certified = certify(*K.certified_product(u))
-    if K.matrix_free and certified > AGREEMENT_TOL:
-        certified = min(certified, certify(*K.certified_product(u, direct=True)))
-    return certified
+    gain, error = K.certified_product(u)
+    diff = gain - u
+    r = d * diff + reaction
+    gamma_4 = 4.0 * 2.0**-53 / (1.0 - 4.0 * 2.0**-53)
+    bound = ROUNDING_SLACK * (d * error + gamma_4 * (
+        d * np.abs(diff) + np.abs(reaction))) + 2.0**-1070
+    return float(np.max(np.abs(r) + bound))
 
 
 @dataclass(frozen=True)

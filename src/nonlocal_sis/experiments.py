@@ -273,11 +273,24 @@ def _naming(config: ExperimentConfig, *keys: str):
         raise ConfigError(str(exc), key=key) from None
 
 
-def _field_spec(config: ExperimentConfig, prefix: str, n: int) -> FieldSpec:
+def _family(config: ExperimentConfig, prefix: str, families: dict) -> str:
+    """The ``prefix.family`` of a field or kernel recipe, one of
+    ``families`` (each mapped to the parameters it takes).  An unknown
+    family, or a ``prefix.*`` key that the family does not take and would
+    ignore, raises ``ConfigError`` naming its key."""
     family = _require(config, f"{prefix}.family")
-    if family not in _FIELD_KEYS:
-        raise ConfigError(f"unknown field family {family!r} for {prefix!r}",
-                          key=f"{prefix}.family")
+    if family not in families:
+        raise ConfigError(f"unknown {prefix} family {family!r}", key=f"{prefix}.family")
+    for key in config.entries:
+        section, _, name = key.rpartition(".")
+        if section == prefix and name not in ("family", *families[family]):
+            raise ConfigError(f"{key!r} is not a parameter of {prefix} family "
+                              f"{family!r}", key=key)
+    return family
+
+
+def _field_spec(config: ExperimentConfig, prefix: str, n: int) -> FieldSpec:
+    family = _family(config, prefix, _FIELD_KEYS)
     params = [_require(config, f"{prefix}.{name}") for name in _FIELD_KEYS[family]]
     if family == "table":
         path = config.base_dir / params[0]
@@ -302,9 +315,7 @@ def _build_instance(config: ExperimentConfig) -> Instance:
     with _naming(config, "grid.n"):
         grid = build_grid(_require(config, "grid.n"), domain)
 
-    family = _require(config, "kernel.family")
-    if family not in _KERNEL_KEYS:
-        raise ConfigError(f"unknown kernel family {family!r}", key="kernel.family")
+    family = _family(config, "kernel", _KERNEL_KEYS)
     widths = {name: float(_require(config, f"kernel.{name}"))
               for name in _KERNEL_KEYS[family]}
     with _naming(config, *(f"kernel.{name}" for name in widths)):

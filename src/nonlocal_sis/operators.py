@@ -123,68 +123,32 @@ class DispersalMatrix:
         nonneg = u.min(axis=-1, keepdims=True) >= 0.0
         return np.maximum(out, 0.0, out=out, where=nonneg)
 
-    def certified_product(self, u: np.ndarray, direct: bool = False) -> tuple:
-        """``(g, e)``: the product ``g = fl(K u)`` of a float node field and
-        a bound ``|g - K u| <= e``, per node, or one number for every node
-        on the FFT path.
+    def certified_product(self, u: np.ndarray) -> tuple:
+        """``(g, e)``: the product ``g = fl(K u)`` of a float node field by
+        direct sums, and a bound ``|g - K u| <= e`` at each node.
 
-        ``unit = 2**-53`` is the unit round-off and ``gamma_k = k unit / (1
-        - k unit)`` (Higham, *Accuracy and Stability of Numerical
-        Algorithms*, 2nd ed., 2002).  ``ROUNDING_SLACK`` absorbs the
-        second-order terms and the few dozen roundings made in evaluating
-        the bound itself, each a relative error of at most ``unit`` on a
-        nonnegative number; the subnormal terms cover underflow, which
-        Higham's bounds leave out and which adds at most ``2**-1075`` per
-        multiplication.
-
-        *Direct sums* (a dense K, or ``direct`` on a matrix-free one).  Each
-        ``(K u)_i`` is an inner product with at most ``k`` nonzero terms,
-        so ``|g - K u| <= gamma_k |K| |u|`` in any order of summation
-        (Higham, section 3.1), and ``|K| = K`` since K >= 0.  ``K |u|`` is
-        summed in the same way, within ``gamma_k K |u|`` of its value.  A
-        dense K takes two matrix-vector products (``k = n``); a matrix-free
-        K sums the ``k = 2 band + 1`` terms of its band from the column, in
-        O(n band) operations.
-
-        *FFT path* (the default on a matrix-free K).  ``g = matvec(u)``.
-        With ``m`` the embedding length and ``L = ceil(log2 m)`` levels, each
-        transform meets Higham's Theorem 24.2, ``||fl(F x) - F x||_2 <= eps
-        ||F x||_2`` with ``eps = L eta / (1 - L eta)`` and ``eta = mu +
-        gamma_4 (sqrt 2 + mu) < 10 unit`` for twiddle factors accurate to
-        ``mu = 4 unit``.  The same butterflies bound each component of the
-        spectrum by ``eps ||c||_1``, with ``c`` the first column of the
-        circulant, and ``||spectrum||_inf <= ||c||_1``.  The product with the
-        spectrum and the ``1/m`` of the inverse add one rounding each, and
-        the half spectra of the real transforms cost a factor ``sqrt 2``, so
-        ``||g - K u||_inf <= ||g - K u||_2 <= (4 eps + 3 unit) ||c||_1
-        ||u||_2`` (section 24.1).  The zeroing and clamping in ``matvec``
-        only move values towards the exact ``K u``.  This costs O(m log m),
-        but grows with ``||u||_2`` where the direct sums grow with ``K |u|``.
+        A dense K sums its rows (``k = n`` terms); a matrix-free K convolves
+        ``u`` with the mirrored band of its column (``k = 2 band + 1``), in
+        O(n band) operations.  Each ``(K u)_i`` is an inner product with at
+        most ``k`` nonzero terms, so ``|g - K u| <= gamma_k K |u|`` in any
+        order of summation, as K >= 0 (Higham, *Accuracy and Stability of
+        Numerical Algorithms*, 2nd ed., 2002, section 3.1; ``gamma_k = k unit
+        / (1 - k unit)`` with ``unit = 2**-53``).  ``K |u|`` is summed in the
+        same way.  ``ROUNDING_SLACK`` absorbs the second-order terms and the
+        roundings of the bound itself; the subnormal term covers underflow,
+        at most ``2**-1075`` per multiplication, which Higham leaves out.
         """
-        unit = 2.0**-53
         if not self.matrix_free:
             terms = self.n
             gain, magnitude = self.entries @ u, self.entries @ np.abs(u)
-        elif direct:
+        else:
             band = self._band()
             terms = 2 * band + 1
-            x = np.stack([u, np.abs(u)])
-            sums = self.column[0] * x
-            for k in range(1, band + 1):  # one recursive sum per node
-                sums[:, k:] += self.column[k] * x[:, :-k]
-                sums[:, :-k] += self.column[k] * x[:, k:]
-            gain, magnitude = sums
-        else:
-            m = self._fft_plan()[0]
-            levels = int(np.ceil(np.log2(m)))
-            eps = levels * 10.0 * unit / (1.0 - levels * 10.0 * unit)
-            c_norm = 2.0 * float(np.sum(np.abs(self.column))) - abs(float(self.column[0]))
-            scale = float(np.max(np.abs(u)))
-            u_norm = scale * float(np.sqrt(np.sum(np.square(u / scale)))) if scale else 0.0
-            underflow = m * levels * (1.0 + c_norm) * (1.0 + u_norm) * 2.0**-1070
-            return self.matvec(u), (ROUNDING_SLACK * (4.0 * eps + 3.0 * unit)
-                                    * c_norm * u_norm + underflow)
-        gamma = terms * unit / (1.0 - terms * unit)
+            stencil = np.concatenate([self.column[band:0:-1], self.column[:band + 1]])
+            # not mode="same": it returns 2 band + 1 entries if that exceeds n
+            gain, magnitude = (np.convolve(x, stencil)[band:band + self.n]
+                               for x in (u, np.abs(u)))
+        gamma = terms * 2.0**-53 / (1.0 - terms * 2.0**-53)
         return gain, ROUNDING_SLACK * gamma * magnitude + terms * 2.0**-1073
 
     def shifted_solve(self, d: float, c: np.ndarray, b: np.ndarray) -> np.ndarray:

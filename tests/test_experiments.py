@@ -524,9 +524,10 @@ def test_simulate_result_retains_little_beyond_its_snapshots():
 
 def with_values(text, values):
     """``text`` with each key of ``values`` set to its value: a line that
-    sets the key is replaced, a missing key is appended."""
+    sets the key is replaced, a missing key is appended, and a key whose
+    value is None is dropped."""
     rows = [row for row in text.splitlines() if row.split(" = ")[0] not in values]
-    rows += [f"{key} = {value}" for key, value in values.items()]
+    rows += [f"{key} = {value}" for key, value in values.items() if value is not None]
     return "\n".join(rows) + "\n"
 
 
@@ -545,19 +546,19 @@ NEVER_RUNNABLE = [
     pytest.param({"beta.value": 0.0}, "beta",
                  "coefficient field beta must be finite and strictly positive",
                  id="beta-zero"),
-    pytest.param({"beta.family": "bump", "beta.base": 1.0, "beta.amp": -2.0,
-                  "beta.center": 0.5, "beta.width": 1.0}, "beta",
+    pytest.param({"beta.family": "bump", "beta.value": None, "beta.base": 1.0,
+                  "beta.amp": -2.0, "beta.center": 0.5, "beta.width": 1.0}, "beta",
                  "coefficient field beta must be finite and strictly positive",
                  id="beta-bump"),
-    pytest.param({"gamma.family": "bump", "gamma.base": 1.0, "gamma.amp": 1.0,
-                  "gamma.center": 0.5, "gamma.width": 0.0}, "gamma",
+    pytest.param({"gamma.family": "bump", "gamma.value": None, "gamma.base": 1.0,
+                  "gamma.amp": 1.0, "gamma.center": 0.5, "gamma.width": 0.0}, "gamma",
                  "bump width must be positive", id="gamma-width"),
     pytest.param({"kernel.h": 0.0}, "kernel.h", "tophat kernel needs finite h > 0",
                  id="h-zero"),
     pytest.param({"kernel.h": -0.5}, "kernel.h", "tophat kernel needs finite h > 0",
                  id="h-negative"),
-    pytest.param({"kernel.family": "truncated_gaussian", "kernel.sigma": 0.2,
-                  "kernel.cutoff": -1.0}, "kernel.cutoff",
+    pytest.param({"kernel.family": "truncated_gaussian", "kernel.h": None,
+                  "kernel.sigma": 0.2, "kernel.cutoff": -1.0}, "kernel.cutoff",
                  "truncated_gaussian needs finite cutoff > 0", id="cutoff"),
     pytest.param({"domain.right": 0.0}, "domain.right",
                  "domain must be finite with right (0.0) > left (0.0)", id="domain"),
@@ -667,6 +668,39 @@ def test_scenario_override_needs_only_its_own_keys(tmp_path):
     loaded = json.loads((tmp_path / "report.json").read_text())
     assert loaded["scenario"] == "spectral"
     assert loaded["status"] == "ok"
+
+
+@pytest.mark.parametrize("demo, line", [
+    ("spectral_two_cell", "beta.amp = 3"),
+    ("spectral_two_cell", "kernel.sigma = 0.3"),
+    ("threshold_sweep", "kernel.cutoff = 0.5"),
+    ("threshold_sweep", "beta.value = 1.0"),
+    ("simulate_persistence", "init.i.c1 = 0.5"),
+])
+def test_key_of_another_family_exits_two(tmp_path, capsys, demo, line):
+    # a parameter the chosen family does not take would be silently ignored
+    key = line.split(" = ")[0]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text((DEMO_CONFIGS / f"{demo}.cfg").read_text() + line + "\n")
+    with pytest.raises(ConfigError) as info:
+        load_config(cfg)
+    assert info.value.key == key
+    assert cli_main(["--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_key_of_another_family_is_checked_only_where_built():
+    # verify draws its own instances, and spectral builds no initial data
+    entries = parse_config(SPECTRAL_CONFIG).entries
+    stray = {**entries, "beta.amp": 3.0, "init.i.family": "constant",
+             "init.i.value": 0.1, "init.i.width": 0.2}
+    with pytest.raises(ConfigError):
+        make_config(stray)
+    verify = make_config({**stray, "scenario": "verify", "verify.instances": 2})
+    assert verify.instance is None
+    del stray["beta.amp"]
+    assert make_config(stray).instance is not None
 
 
 @pytest.mark.parametrize("text", [
