@@ -141,17 +141,13 @@ def rhs(state: State, params, K: DispersalMatrix, beta, gamma,
     return dS, dI
 
 
-def _infection_pressure(S, I, beta):
-    total = S + I
-    safe = np.where(total > 0.0, total, 1.0)
-    return np.where(total > 0.0, beta * S * I / safe, 0.0)
-
-
 def _rhs_raw(y, d_s, d_i, K, beta, gamma, lam):
     """Right-hand side for the stacked state ``y = (S, I)``, stacked."""
     S, I = y
     KS, KI = K.matvec(y)
-    infect = _infection_pressure(S, I, beta)
+    total = S + I
+    infect = np.divide(beta * S * I, total, out=np.zeros_like(total),
+                       where=total > 0.0)
     dS = d_s * (KS - S) + lam - infect + gamma * I
     dI = d_i * (KI - I) + infect - gamma * I
     return np.stack([dS, dI])

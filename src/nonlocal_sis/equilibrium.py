@@ -10,15 +10,17 @@ states.
 
 The endemic state and the logistic stationary state differ only in their
 reaction term and its slope, relaxation constant and bracket; one driver
-solves both from two sides.  From below it iterates the classical relaxed
-monotone map ``u <- u + F(u)/rho``, with a relaxation constant ``rho`` large
-enough that the map is order-preserving on the bracket, upward from a
-closed-form multiple of the principal eigenvector, checked to be a
-subsolution, with one evaluation of ``F`` per step.  From above it runs
-Newton's method from an explicit supersolution; both reactions are
-concave, so the Newton iterates decrease monotonically to the root.  Both
-limits must agree, which is exactly the uniqueness statement for these
-problems.  The certified residual bound of the limit must be at most 1e-8.
+solves both from two sides, in one loop that takes a step of each side per
+pass.  From below it iterates the classical relaxed monotone map
+``u <- u + F(u)/rho``, with a relaxation constant ``rho`` large enough that
+the map is order-preserving on the bracket, upward from a closed-form
+multiple of the principal eigenvector, checked to be a subsolution, with
+one evaluation of ``F`` per step.  From above it runs Newton's method from
+an explicit supersolution; both reactions are concave, so the Newton
+iterates decrease monotonically to the root.  A side that fails stops the
+solve at once.  Both limits must agree, which is exactly the uniqueness
+statement for these problems.  The certified residual bound of the limit
+must be at most 1e-8.
 """
 
 from __future__ import annotations
@@ -163,116 +165,105 @@ def _two_sided_solve(K: DispersalMatrix, d: float,
     ``[sub, high]``; returns the limit from above and its gap to the limit
     from below.
 
-    The closed-form lower end ``sub`` is checked with the first ``F(sub)``
-    of the relaxed map ``u <- u + F(u)/rho``: a node with ``F(sub) < 0`` (or
-    NaN) raises ``SolverFailure`` at once, with residual ``-min F(sub)`` and
-    zero iterations.  The map runs upward from ``sub``, one ``F`` per step:
-    the values of the residual test are the next increment.  Newton's method
-    runs downward from the supersolution ``high`` (see ``_monotone_newton``).
-    Iterates of both are clamped to ``[max(sub, 0), high]`` (a no-op in
-    exact arithmetic).  ``monotone_defect`` records the largest movement
-    against the expected direction, which should be at roundoff level.
-    ``iterations`` counts the relaxed steps and the Newton steps.  The
-    reported ``residual`` is the certified bound of ``_fresh_residual`` at
-    the limit; above ``AGREEMENT_TOL`` (or NaN) it raises
-    ``SolverInconsistency``.
+    One loop advances both sides, a step of each per pass until each has
+    stopped, so each side keeps the iterates it would take alone and a
+    failing side stops the solve at once.  ``hi`` takes Newton steps
+    ``-J du = F(hi)`` from the supersolution ``high`` (one
+    ``K.shifted_solve``, ``J = d (K - Id) + diag(slope)``), and stops one
+    step after its residual reaches ``RESIDUAL_TARGET``; for a concave
+    reaction the iterates decrease monotonically to the root (Ortega &
+    Rheinboldt 1970, section 13.3), so ``-J`` stays positive definite on
+    equal cells.  ``lo`` takes relaxed steps ``u <- u + F(u)/rho`` from
+    ``sub`` until its residual reaches ``RESIDUAL_TARGET``; the values of
+    each residual test are the next increment.  ``F(sub) < 0`` at a node
+    (or NaN) raises ``SolverFailure`` at once, with residual ``-min F(sub)``
+    and zero iterations; ``NEWTON_CAP``, ``ITERATION_CAP``, a stalled
+    relaxed step or a failed Newton solve (singular, or CG that does not
+    converge) raise it with that side's residual and step count.  Iterates
+    are clamped to ``[max(sub, 0), high]`` (a no-op in exact arithmetic);
+    ``monotone_defect`` is the largest movement against the expected
+    direction, at roundoff level.  Limits that cross, or differ by more
+    than ``AGREEMENT_TOL``, raise ``UniquenessViolation`` with the crossing
+    or the gap and the steps of both sides.  The reported ``residual`` is
+    the certified bound of ``_fresh_residual`` at the upper limit; above
+    ``AGREEMENT_TOL`` (or NaN) it raises ``SolverInconsistency``.
     """
     def F(u: np.ndarray) -> np.ndarray:
         return d * (K.matvec(u) - u) + reaction(u)
 
     floor = np.maximum(sub, 0.0)
-    up = sub
-    relaxed = 0
-    monotone_defect = 0.0
-    values = F(up)
-    if not np.all(values >= 0.0):
+    lo, hi = sub, high
+    lo_values = F(lo)
+    if not np.all(lo_values >= 0.0):
         raise SolverFailure("lower end of the bracket is not a subsolution",
-                            residual=float(-np.min(values)), iterations=0)
-    residual = float(np.max(np.abs(values)))
-    while residual > RESIDUAL_TARGET:
-        if relaxed >= ITERATION_CAP:
-            raise SolverFailure(
-                "monotone iteration hit the iteration cap",
-                residual=residual, iterations=relaxed)
-        nxt = up + values / rho
-        monotone_defect = max(monotone_defect,
-                              float(np.max(up - nxt, initial=0.0)))
-        clipped = np.clip(nxt, floor, high)
-        step = float(np.max(np.abs(clipped - up)))
-        up = clipped
-        relaxed += 1
-        values = F(up)
-        residual = float(np.max(np.abs(values)))
-        if step < STALL_STEP and residual > RESIDUAL_TARGET:
-            raise SolverFailure(
-                "monotone iteration stalled before reaching the residual target",
-                residual=residual, iterations=relaxed)
+                            residual=float(-np.min(lo_values)), iterations=0)
+    lo_residual = float(np.max(np.abs(lo_values)))
+    hi_values = F(hi)
+    hi_residual = float(np.max(np.abs(hi_values)))
+    relaxed = newton = 0
+    monotone_defect = 0.0
+    polished = False
+    while not polished or lo_residual > RESIDUAL_TARGET:
+        if not polished:
+            if newton >= NEWTON_CAP:
+                raise SolverFailure(
+                    "Newton iteration from above hit the step cap",
+                    residual=hi_residual, iterations=newton)
+            # convergence is quadratic: one step past the target reaches round-off
+            polished = hi_residual <= RESIDUAL_TARGET
+            try:
+                du = K.shifted_solve(d, d - slope(hi), hi_values)
+            except np.linalg.LinAlgError:
+                du = None
+            if du is None or not np.all(np.isfinite(du)):
+                raise SolverFailure("Newton step: the Jacobian solve failed "
+                                    "(singular, or CG did not converge)",
+                                    residual=hi_residual, iterations=newton)
+            monotone_defect = max(monotone_defect,
+                                  float(np.max(du, initial=0.0)))
+            hi = np.clip(hi + du, floor, high)
+            newton += 1
+            hi_values = F(hi)
+            hi_residual = float(np.max(np.abs(hi_values)))
+        if lo_residual > RESIDUAL_TARGET:
+            if relaxed >= ITERATION_CAP:
+                raise SolverFailure(
+                    "monotone iteration hit the iteration cap",
+                    residual=lo_residual, iterations=relaxed)
+            nxt = lo + lo_values / rho
+            monotone_defect = max(monotone_defect,
+                                  float(np.max(lo - nxt, initial=0.0)))
+            clipped = np.clip(nxt, floor, high)
+            step = float(np.max(np.abs(clipped - lo)))
+            lo = clipped
+            relaxed += 1
+            lo_values = F(lo)
+            lo_residual = float(np.max(np.abs(lo_values)))
+            if step < STALL_STEP and lo_residual > RESIDUAL_TARGET:
+                raise SolverFailure(
+                    "monotone iteration stalled before reaching the residual target",
+                    residual=lo_residual, iterations=relaxed)
 
-    down, newton, defect = _monotone_newton(K, d, F, slope, floor, high)
-    if np.any(up > down + 1e-12):
+    iterations = relaxed + newton
+    if np.any(lo > hi + 1e-12):
         raise UniquenessViolation(
-            "upward limit crossed above the downward limit")
-    gap = float(np.max(np.abs(down - up)))
+            "upward limit crossed above the downward limit",
+            residual=float(np.max(lo - hi)), iterations=iterations)
+    gap = float(np.max(np.abs(hi - lo)))
     if gap > AGREEMENT_TOL:
         raise UniquenessViolation(
-            f"monotone limits from below and above disagree by {gap:.3e}")
+            f"monotone limits from below and above disagree by {gap:.3e}",
+            residual=gap, iterations=iterations)
 
-    residual = _fresh_residual(K, d, down, reaction(down))
+    residual = _fresh_residual(K, d, hi, reaction(hi))
     if not residual <= AGREEMENT_TOL:
         raise SolverInconsistency(
             f"stationary limit leaves certified residual {residual:.3e}",
-            residual=residual, iterations=relaxed + newton)
-    result = EquilibriumResult(
-        field=down, residual=residual, iterations=relaxed + newton,
-        monotone_defect=max(monotone_defect, defect))
+            residual=residual, iterations=iterations)
+    result = EquilibriumResult(field=hi, residual=residual,
+                               iterations=iterations,
+                               monotone_defect=monotone_defect)
     return result, gap
-
-
-def _monotone_newton(K: DispersalMatrix, d: float,
-                     F: Callable[[np.ndarray], np.ndarray],
-                     slope: Callable[[np.ndarray], np.ndarray],
-                     floor: np.ndarray, high: np.ndarray
-                     ) -> tuple[np.ndarray, int, float]:
-    """Newton's method for ``F = 0`` from the supersolution ``high``.
-
-    The Jacobian is ``J = d (K - Id) + diag(slope(u))``.  For a concave
-    reaction each Newton iterate is again a supersolution and the iterates
-    decrease monotonically to the root (monotone Newton: Ortega &
-    Rheinboldt 1970, section 13.3), so ``-J`` stays positive definite on
-    equal cells.  The step solves ``-J du = F(u)`` by one ``K.shifted_solve``.
-    The iteration stops one step after the residual first reaches
-    ``RESIDUAL_TARGET``.  Returns the limit, the number of steps and the
-    largest upward movement.  Reaching ``NEWTON_CAP`` steps first, or a
-    failed or non-finite step (a singular Jacobian, or CG that does not
-    converge), raises ``SolverFailure`` with the residual and step count.
-    """
-    u = high
-    steps = 0
-    upward = 0.0
-    values = F(u)
-    residual = float(np.max(np.abs(values)))
-    polished = False
-    while not polished:
-        if steps >= NEWTON_CAP:
-            raise SolverFailure(
-                "Newton iteration from above hit the step cap",
-                residual=residual, iterations=steps)
-        # convergence is quadratic: one step past the target reaches round-off
-        polished = residual <= RESIDUAL_TARGET
-        try:
-            du = K.shifted_solve(d, d - slope(u), values)
-        except np.linalg.LinAlgError:
-            du = None
-        if du is None or not np.all(np.isfinite(du)):
-            raise SolverFailure("Newton step: the Jacobian solve failed "
-                                "(singular, or CG did not converge)",
-                                residual=residual, iterations=steps)
-        upward = max(upward, float(np.max(du, initial=0.0)))
-        u = np.clip(u + du, floor, high)
-        steps += 1
-        values = F(u)
-        residual = float(np.max(np.abs(values)))
-    return u, steps, upward
 
 
 def solve_endemic(K: DispersalMatrix, params: ModelParams, beta, gamma,

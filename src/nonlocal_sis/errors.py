@@ -6,6 +6,14 @@ can embed them in reports instead of losing them in tracebacks.
 
 from __future__ import annotations
 
+__all__ = [
+    "NonlocalSISError", "InvalidArgumentError", "InvalidCoefficientError",
+    "InvalidStateError", "InvalidConfigError", "InvalidWindowError",
+    "InvalidBracketError", "PreconditionError", "SolverFailure",
+    "SolverInconsistency", "NoEndemicState", "NoPositiveState",
+    "UniquenessViolation", "IntegrationFailure", "ConfigError",
+]
+
 
 class NonlocalSISError(Exception):
     """Base class for all package errors."""
@@ -73,7 +81,7 @@ class NoPositiveState(NonlocalSISError):
     """Logistic stationary problem has no positive solution."""
 
 
-class UniquenessViolation(NonlocalSISError):
+class UniquenessViolation(SolverInconsistency):
     """Monotone iteration limits from below and above disagree."""
 
 

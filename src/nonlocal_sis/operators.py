@@ -28,7 +28,6 @@ __all__ = [
     "DispersalMatrix",
     "assemble_dispersal",
     "apply_dispersal",
-    "TOEPLITZ_MIN_N",
 ]
 
 # Smallest grid on which K is applied by FFT instead of as a dense matrix.

@@ -469,3 +469,34 @@ def test_threshold_quantities_converge_at_second_order(kernel):
     richardson = np.array(values[1:]) - diffs / 3.0
     spread = np.abs(richardson[2] - richardson[1]) / np.abs(diffs[2])
     assert np.all(spread <= 0.01), spread
+
+
+def test_infected_dispersal_suppresses_the_disease():
+    # the persistence-n64 instance (triangle h = 0.25, n = 64, bump beta,
+    # gamma 0.9): R0 = 1 at d*, R0 -> max beta/gamma at first order as
+    # d_I -> 0, and R0 d_I -> L as d_I -> oo, with L the top eigenvalue of
+    # the pencil (diag beta, Id - K): the hostile exterior keeps L finite, so
+    # fast dispersal of the infected suppresses the disease
+    grid = build_grid(64, DomainSpec(0.0, 1.0))
+    K = assemble_dispersal(grid, KernelSpec.triangle(0.25))
+    beta = sample_field_values(FieldSpec.bump(1.0, 1.5, 0.5, 0.2), grid)
+    gamma = np.full(64, 0.9)
+
+    def r0(d_I):
+        return basic_reproduction_number(K, d_I, beta, gamma).value
+
+    d_star = critical_dispersal_rate(K, beta, gamma).d_critical
+    assert abs(r0(d_star) - 1.0) <= 1e-12  # measured 4.4e-15
+
+    # measured 2.7090 and 2.7101
+    small = [(np.max(beta / gamma) - r0(d)) / d for d in (1e-4, 1e-5)]
+    assert small[0] == pytest.approx(small[1], rel=0.01)
+
+    w = grid.weights
+    M = w[:, None] * (np.eye(64) - K.entries)
+    L = scipy.linalg.eigh(np.diag(w * beta), 0.5 * (M + M.T),
+                          eigvals_only=True)[-1]
+    assert L == pytest.approx(45.428, rel=1e-4)
+    # measured 976.4 and 995.8
+    large = [(L - r0(d) * d) * d for d in (1e3, 1e4)]
+    assert large[0] == pytest.approx(large[1], rel=0.05)
