@@ -32,11 +32,12 @@ __all__ = [
 
 # Smallest grid on which K is applied by FFT instead of as a dense matrix.
 # Measured with OPENBLAS_NUM_THREADS=1 on a 2-core Xeon VM (triangle kernel,
-# h=0.25 on [0, 1]), dense / matrix-free:
-#   K u for a (2, n) stack   n=384: 0.05 / 0.10 ms   n=512: 0.16 / 0.07 ms
-#   growth rate              n=384:  8.7 /  2.6 ms   n=512:   25 /  1.8 ms
-#   disease-free state       n=384:   20 /   15 ms   n=512:   39 /   16 ms
-# RK4 is most of a simulation, so the product sets the crossover.
+# h=0.25 on [0, 1]), dense / matrix-free, best of 7:
+#   K u for a (2, n) stack   n=384: 0.060 / 0.089 ms   n=512: 0.14 / 0.071 ms
+#   growth rate (d = 1)      n=384:   6.9 /   3.1 ms   n=512:   13 /   2.2 ms
+#   disease-free state       n=384:   3.6 /  0.42 ms   n=512:  6.4 /  0.62 ms
+# RK4 is most of a simulation, so the product sets the crossover.  Read at
+# call time, not exported: tests patch it here.
 TOEPLITZ_MIN_N = 512
 
 # Factor on a first-order rounding-error bound that covers its second-order

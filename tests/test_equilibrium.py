@@ -208,16 +208,16 @@ def test_growth_inside_sign_deadband_admits_no_positive_state(endemic_setup,
 
 def _persistence_n64(d_S):
     """The persistence-n64 benchmark instance (triangle h = 0.25, n = 64,
-    bump beta, unit recruitment): grid, K, beta and the disease-free state
-    at ``d_S``."""
+    bump beta, unit recruitment): K, beta and the disease-free state at
+    ``d_S``."""
     grid = build_grid(64, DomainSpec(0.0, 1.0))
     K = assemble_dispersal(grid, KernelSpec.triangle(0.25))
     beta = sample_field_values(FieldSpec.bump(1.0, 1.5, 0.5, 0.2), grid)
-    return grid, K, beta, solve_disease_free(K, d_S, np.ones(64)).field
+    return K, beta, solve_disease_free(K, d_S, np.ones(64)).field
 
 
 class TestTwoSidedDriver:
-    def test_disagreeing_limits_raise(self, two_cell_K):
+    def test_disagreeing_limits_raise(self, two_cell_K, monkeypatch):
         # on constants the two-cell dispersal is -0.5 u, so the constant
         # states solve -u (u - 1)(u - 2)(u - 3) = 0: the upward iteration
         # stops at 1 and the downward one at 3
@@ -227,13 +227,16 @@ class TestTwoSidedDriver:
         def slope(u):
             return 0.5 - (4.0 * u**3 - 18.0 * u**2 + 22.0 * u - 6.0)
 
+        calls = self._count_matvecs(two_cell_K, monkeypatch)
         with pytest.raises(UniquenessViolation, match="disagree") as info:
             equilibrium._two_sided_solve(two_cell_K, 1.0, reaction, slope, 60.0,
                                          np.full(2, 0.5), np.full(2, 4.0))
-        # the gap and the steps of both sides, as the runner reports them
+        # the runner reports the gap and the steps of both sides: one F per
+        # step of either side, after F at both ends (dense Newton solves
+        # make no product)
         assert isinstance(info.value, SolverInconsistency)
         assert info.value.residual == pytest.approx(2.0, abs=1e-9)
-        assert info.value.iterations > equilibrium.NEWTON_CAP
+        assert info.value.iterations == calls.total - 2
 
     def test_lower_end_that_is_no_subsolution_fails_at_once(self, two_cell_K):
         # F(sub) > 0 at the first node and < 0 at the second
@@ -279,7 +282,7 @@ class TestTwoSidedDriver:
     def test_failing_newton_side_stops_the_solve_at_once(self, monkeypatch):
         # one pass takes one step of each side, so the capped Newton side
         # raises in the second pass, not after the ~40,000 relaxed steps
-        grid, K, beta, dfe = _persistence_n64(d_S=1.0)
+        K, beta, dfe = _persistence_n64(d_S=1.0)
         calls = self._count_matvecs(K, monkeypatch)
         monkeypatch.setattr(equilibrium, "NEWTON_CAP", 1)
         with pytest.raises(SolverFailure, match="Newton") as info:
@@ -404,7 +407,7 @@ class TestEndemic:
     def test_fast_susceptible_dispersal_solves(self, monkeypatch):
         # the persistence-n64 benchmark instance with d_S = 4; a lower cap
         # makes the loose constant fail in a fraction of a second
-        grid, K, beta, dfe = _persistence_n64(d_S=4.0)
+        K, beta, dfe = _persistence_n64(d_S=4.0)
         params = ModelParams(d_S=4.0, d_I=0.1)
         monkeypatch.setattr(equilibrium, "ITERATION_CAP", 5_000)
         pair = solve_endemic(K, params, beta, np.full(64, 0.9), dfe)
