@@ -190,11 +190,13 @@ def _run(y0: np.ndarray, config: IntegratorConfig,
     for k in range(1, n_steps + 1):
         y = _step(y, config.dt, f, config.method)
         if not np.all(np.isfinite(y)):
-            raise IntegrationFailure(f"non-finite state at t={k * config.dt:.6g}")
+            raise IntegrationFailure(f"non-finite state at t={k * config.dt:.6g}",
+                                     residual=None, iterations=k)
         lowest = float(y.min())
         if lowest < -NEGATIVE_TOL:
             raise IntegrationFailure(
-                f"state dipped to {lowest:.3e} at t={k * config.dt:.6g}")
+                f"state dipped to {lowest:.3e} at t={k * config.dt:.6g}",
+                residual=lowest, iterations=k)
         if lowest < 0.0:
             clip_events += int(np.sum(y < 0.0))
             y = np.maximum(y, 0.0)

@@ -85,8 +85,9 @@ class UniquenessViolation(SolverInconsistency):
     """Monotone iteration limits from below and above disagree."""
 
 
-class IntegrationFailure(NonlocalSISError):
-    """Time integration produced NaN/overflow or a meaningfully negative state."""
+class IntegrationFailure(_Diagnosed):
+    """Time integration produced NaN/overflow or a meaningfully negative state;
+    ``residual`` is the dip (None if non-finite), ``iterations`` the step."""
 
 
 class ConfigError(NonlocalSISError, ValueError):

@@ -65,8 +65,7 @@ from .errors import (
     InvalidCoefficientError,
     InvalidConfigError,
     NonlocalSISError,
-    SolverFailure,
-    SolverInconsistency,
+    _Diagnosed,
 )
 from .operators import DispersalMatrix, assemble_dispersal
 from .spectral import (
@@ -96,6 +95,7 @@ _FIELD_KEYS = {"constant": ("value",), "step": ("c1", "c2", "x_split"),
                "bump": ("base", "amp", "center", "width"), "table": ("path",)}
 _KERNEL_KEYS = {"tophat": ("h",), "triangle": ("h",),
                 "truncated_gaussian": ("sigma", "cutoff")}
+_VERIFY_RATES = np.geomspace(0.05, 20.0, 6)  # d_I ladder of the monotonicity check
 
 
 @dataclass
@@ -435,7 +435,7 @@ def run_scenario(config: ExperimentConfig) -> RunReport:
                     errors.append(outputs["threshold_error"])
     except NonlocalSISError as exc:
         message = f"{type(exc).__name__}: {exc}"
-        if isinstance(exc, (SolverFailure, SolverInconsistency)):
+        if isinstance(exc, _Diagnosed):
             message += f" (residual={exc.residual}, iterations={exc.iterations})"
         errors.append(message)
     echo = dict(sorted(config.entries.items()))
@@ -581,8 +581,7 @@ def _verify_one(seed: int, index: int, n_max: int) -> dict:
     scaled = d * infection_growth_rate(K, 1.0, inst.gap / d).value
     checks["scaling_identity"] = bool(abs(mu - scaled) <= 1e-10)
 
-    grid_d = np.geomspace(0.05, 20.0, 6)
-    mus = [infection_growth_rate(K, dd, inst.gap).value for dd in grid_d]
+    mus = [infection_growth_rate(K, dd, inst.gap).value for dd in _VERIFY_RATES]
     checks["monotone_in_rate"] = all(mus[k + 1] <= mus[k] + 1e-12
                                      for k in range(len(mus) - 1))
 

@@ -60,13 +60,16 @@ class DispersalMatrix:
     A matrix given by its ``entries`` is always applied densely.
     ``shifted_solve`` solves ``(diag(c) - d K) x = b``, the one linear
     system of the stationary states, by the method its storage allows.
+    ``symmetric``, ``D^{1/2} K D^{-1/2}`` with ``D = diag(w)``, is formed once,
+    on first access: ``entries`` itself on equal cells, else one more array.
     """
 
     def __init__(self, entries=None, grid: Grid | None = None, *, column=None):
         if grid is None or (entries is None) == (column is None):
             raise InvalidArgumentError("need a grid and exactly one of entries, column")
-        self.grid = grid
-        self._fft = None  # see _fft_plan
+        self.grid, self.n = grid, grid.n
+        self._fft = self._symmetric = None  # see _fft_plan, symmetric
+        self.sqrt_weights = _readonly(np.sqrt(grid.weights))
         if column is None:
             self.column, self._entries = None, _readonly(entries)
             shape, expected = self._entries.shape, (grid.n, grid.n)
@@ -80,10 +83,6 @@ class DispersalMatrix:
         self.matrix_free = column is not None and grid.n >= TOEPLITZ_MIN_N
 
     @property
-    def n(self) -> int:
-        return self.grid.n
-
-    @property
     def entries(self) -> np.ndarray:
         if self._entries is None:
             dense = np.empty((self.n, self.n))
@@ -91,6 +90,17 @@ class DispersalMatrix:
             dense.flags.writeable = False
             self._entries = dense
         return self._entries
+
+    @property
+    def symmetric(self) -> np.ndarray:
+        if self._symmetric is None:
+            w, s, Ks = self.grid.weights, self.sqrt_weights, self.entries
+            if not (w == w[0]).all():  # on equal cells K is exactly symmetric
+                Ks = s[:, None] * Ks / s[None, :]
+                Ks = np.multiply(0.5, Ks + Ks.T, out=Ks)  # scrub roundoff asymmetry
+                Ks.flags.writeable = False
+            self._symmetric = Ks
+        return self._symmetric
 
     def _toeplitz_view(self) -> np.ndarray:
         """K as a read-only n x n view of one length ``2n - 1`` array."""

@@ -4,9 +4,10 @@ Every threshold quantity is an extreme eigenvalue of one generator
 ``d (K - Id) + diag(c)``, which is self-adjoint in the weighted inner
 product of its grid.  With ``D = diag(w)`` the similarity transform
 ``Ks = D^{1/2} K D^{-1/2}`` makes K genuinely symmetric (on equal cells K
-already is, and ``Ks`` is K itself), so each quantity is one extreme
-eigenvalue of a symmetric matrix or of a symmetric-definite pencil built
-from ``G = d (Ks - Id) + diag(c)``, computed by a single LAPACK call
+already is, and ``Ks`` is K itself).  ``Ks`` is ``K.symmetric``, formed
+once per K and shared by every eigensolve on it.  So each quantity is one
+extreme eigenvalue of a symmetric matrix or of a symmetric-definite pencil
+built from ``G = d (Ks - Id) + diag(c)``, computed by a single LAPACK call
 restricted to one index and checked by its residual:
 
 * growth rate: top eigenvalue of ``G`` for ``d_I`` and ``c = beta - gamma``,
@@ -79,10 +80,9 @@ class Eigenpair:
 
 def _orient_sup(v: np.ndarray) -> np.ndarray:
     """Normalize to sup-norm 1 with the dominant component nonnegative."""
-    k = int(np.argmax(np.abs(v)))
-    if v[k] < 0:
-        v = -v
-    return v / np.abs(v[k])
+    a = np.abs(v)
+    k = int(a.argmax())
+    return v / (a[k] if v[k] >= 0 else -a[k])  # (-v) / |v_k| == v / -|v_k|
 
 
 def _reaction_field(K: DispersalMatrix, d: float, c) -> np.ndarray:
@@ -93,37 +93,32 @@ def _reaction_field(K: DispersalMatrix, d: float, c) -> np.ndarray:
         raise InvalidArgumentError(f"field shape {c.shape} does not match n={K.n}")
     if not 0 < d < np.inf:
         raise InvalidArgumentError(f"dispersal rate must be finite and > 0, got {d}")
-    if not np.all(np.isfinite(c)):
+    if not np.isfinite(c).all():
         raise InvalidArgumentError("field has non-finite entries")
     return c
 
 
-def _symmetric_form(K: DispersalMatrix) -> np.ndarray:
-    """``D^{1/2} K D^{-1/2}``; on equal cells K itself, which is exactly
-    symmetric there because ``x_i - x_j`` is exactly antisymmetric."""
-    w = K.grid.weights
-    if np.all(w == w[0]):
-        return K.entries
-    sqrt_w = np.sqrt(w)
-    Ks = sqrt_w[:, None] * K.entries / sqrt_w[None, :]
-    return 0.5 * (Ks + Ks.T)  # scrub roundoff asymmetry
-
-
 def _generator(K: DispersalMatrix, d: float, c: np.ndarray) -> np.ndarray:
     """Symmetric form of ``d (K - Id) + diag(c)`` in one fresh array."""
-    G = np.multiply(d, _symmetric_form(K))
-    G.flat[::K.n + 1] += c - d
+    G = np.multiply(d, K.symmetric)
+    G.reshape(-1)[::K.n + 1] += c - d  # the diagonal, as a strided view
     return G
 
 
 def _apply(K: DispersalMatrix, d: float, c: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``d (K v - v) + c v`` in node-field coordinates."""
-    return d * (K.matvec(v) - v) + c * v
+    """``d (K v - v) + c v``, formed in order in the array ``K.matvec`` returns."""
+    r = K.matvec(v)
+    r -= v
+    r *= d
+    r += c * v
+    return r
 
 
 def _residual(K: DispersalMatrix, d: float, c: np.ndarray, value: float,
               v: np.ndarray) -> float:
-    return float(np.max(np.abs(_apply(K, d, c, v) - value * v)))
+    r = _apply(K, d, c, v)
+    r -= value * v
+    return float(np.abs(r, out=r).max())
 
 
 # Workspace sizes per order n: the ones ``scipy.linalg.eigh`` passes, so
@@ -209,7 +204,7 @@ def extreme_eigenpair(K: DispersalMatrix, d: float, c) -> Eigenpair:
     if K.matrix_free:
         return _lanczos_top(K, d, c)
     value, y = _eigh_at(_generator(K, d, c), K.n - 1)
-    v = _orient_sup(y / np.sqrt(K.grid.weights))
+    v = _orient_sup(y / K.sqrt_weights)
     return _checked_pair(value, v, _residual(K, d, c, value, v), 1)
 
 
@@ -256,7 +251,7 @@ def basic_reproduction_number(K: DispersalMatrix, d_I: float, beta,
     """
     beta_v = _reaction_field(K, d_I, beta)
     c = _reaction_field(K, d_I, -_field_values(gamma))  # A = d_I (K - Id) + diag(c)
-    if not np.all(beta_v > 0):
+    if not (beta_v > 0).all():
         raise InvalidArgumentError("beta must be positive at every node")
     s = 1.0 / np.sqrt(beta_v)
     a = _generator(K, d_I, c)
@@ -273,7 +268,10 @@ def basic_reproduction_number(K: DispersalMatrix, d_I: float, beta,
     u = beta_v * phi
     scale = 1.0 / u[np.argmax(np.abs(u))]  # sup-norm 1, dominant entry positive
     u, phi = scale * u, scale * phi
-    residual = float(np.max(np.abs(u + value * _apply(K, d_I, c, phi))))
+    r = _apply(K, d_I, c, phi)
+    r *= value
+    r += u
+    residual = float(np.abs(r, out=r).max())
     return _checked_pair(value, u, residual, 1)
 
 

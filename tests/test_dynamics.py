@@ -3,6 +3,7 @@ import pytest
 
 from nonlocal_sis import (
     IntegratorConfig,
+    IntegrationFailure,
     InvalidArgumentError,
     InvalidConfigError,
     InvalidStateError,
@@ -19,6 +20,7 @@ from nonlocal_sis import (
     solve_disease_free,
     solve_endemic,
 )
+from nonlocal_sis import dynamics
 from nonlocal_sis.experiments import random_instance
 
 from conftest import const_field
@@ -400,3 +402,26 @@ def test_snapshots_are_views_into_the_stack(endemic_setup):
         assert np.shares_memory(snap.S, traj.states)
         np.testing.assert_array_equal(snap.S, traj.states[k, 0])
         np.testing.assert_array_equal(snap.I, traj.states[k, 1])
+
+
+class TestIntegrationFailure:
+    """Both raise sites of the stepping loop carry the step reached and, for
+    a dip, its depth."""
+
+    def test_dip_carries_its_depth_and_step(self):
+        # y' = -1 by explicit Euler: 1, 0.5, 0, then -0.5 at step 3
+        cfg = IntegratorConfig(dt=0.5, t_end=2.0, method="explicit_euler")
+        with pytest.raises(IntegrationFailure) as info:
+            dynamics._run(np.ones(2), cfg, lambda y: -np.ones_like(y))
+        assert str(info.value) == "state dipped to -5.000e-01 at t=1.5"
+        assert info.value.residual == -0.5
+        assert info.value.iterations == 3
+
+    def test_non_finite_state_carries_its_step(self):
+        # y' = 1e200 y: 1, then 5e199, then overflow at step 2
+        cfg = IntegratorConfig(dt=0.5, t_end=2.0, method="explicit_euler")
+        with np.errstate(over="ignore"), pytest.raises(IntegrationFailure) as info:
+            dynamics._run(np.ones(2), cfg, lambda y: 1e200 * y)
+        assert str(info.value) == "non-finite state at t=1"
+        assert info.value.residual is None
+        assert info.value.iterations == 2

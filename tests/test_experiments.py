@@ -250,6 +250,16 @@ sweep.count = 4
             "SolverInconsistency: direct disease-free solve leaves residual "
             "5.000e-07 (residual=5e-07, iterations=1)"]
 
+    def test_integration_failure_diagnostics_in_errors(self, monkeypatch):
+        # the first step takes 1 off every component: I = 0.1 dips to -0.9
+        monkeypatch.setattr("nonlocal_sis.dynamics._step",
+                            lambda y, dt, f, method: y - 1.0)
+        report = run_scenario(parse_config(simulate_config()))
+        assert not report.ok
+        assert report.errors == [
+            "IntegrationFailure: state dipped to -9.000e-01 at t=0.01 "
+            f"(residual={0.1 - 1.0}, iterations=1)"]
+
     @pytest.mark.parametrize("scenario", ["equilibrium", "simulate"])
     def test_one_assembly_per_scenario(self, scenario, monkeypatch):
         # validation reads its row masses off the instance's cached K

@@ -8,6 +8,7 @@ from nonlocal_sis import (
     DispersalMatrix,
     DomainSpec,
     FieldSpec,
+    Grid,
     InvalidArgumentError,
     InvalidBracketError,
     KernelSpec,
@@ -141,18 +142,32 @@ def test_eigh_at_matches_scipy_eigh_bitwise(n):
         np.testing.assert_array_equal(vector, vecs[:, 0])
 
 
+def _graded(n):
+    """n midpoint cells on [0, 1] with edges ``t**1.4``, as ``graded_grid``."""
+    edges = np.linspace(0.0, 1.0, n + 1) ** 1.4
+    return Grid(nodes=0.5 * (edges[1:] + edges[:-1]), weights=np.diff(edges),
+                domain=DomainSpec(0.0, 1.0))
+
+
 def test_dense_eigensolve_memory():
     # one n x n array for the growth rate and for R0, two for the d* pencil,
-    # plus LAPACK workspace: the matrices go to LAPACK without copies
+    # plus LAPACK workspace: the matrices go to LAPACK without copies, and
+    # on unequal cells the symmetric form of K is formed once, on first use
     n = 256
-    grid = build_grid(n, DomainSpec(0.0, 1.0))
-    K = assemble_dispersal(grid, KernelSpec.triangle(0.25))
-    beta = 1.0 + 1.5 * np.exp(-(((grid.nodes - 0.5) / 0.2) ** 2))
-    gamma = np.full(n, 0.9)
+
+    def bump_instance(grid):
+        beta = 1.0 + 1.5 * np.exp(-(((grid.nodes - 0.5) / 0.2) ** 2))
+        K = assemble_dispersal(grid, KernelSpec.triangle(0.25))
+        return K, beta, np.full(n, 0.9)
+
+    K, beta, gamma = bump_instance(build_grid(n, DomainSpec(0.0, 1.0)))
+    Kg, beta_g, gamma_g = bump_instance(_graded(n))
     budgets = [
         (lambda: infection_growth_rate(K, 0.1, beta - gamma), 1.5),
         (lambda: basic_reproduction_number(K, 0.1, beta, gamma), 1.5),
         (lambda: critical_dispersal_rate(K, beta, gamma), 2.5),
+        (lambda: infection_growth_rate(Kg, 0.1, beta_g - gamma_g), 1.5),
+        (lambda: basic_reproduction_number(Kg, 0.1, beta_g, gamma_g), 1.5),
     ]
     for solve, budget in budgets:
         solve()  # first call: imports and LAPACK set-up
@@ -163,6 +178,87 @@ def test_dense_eigensolve_memory():
         finally:
             tracemalloc.stop()
         assert peak < budget * n * n * 8
+
+
+def _reference_generator(K, d, c):
+    """Reference for the lean path's bits: the symmetric generator formed
+    anew from K, with the diagonal added through ``flat``."""
+    w = K.grid.weights
+    if np.all(w == w[0]):
+        Ks = K.entries
+    else:
+        sqrt_w = np.sqrt(w)
+        Ks = sqrt_w[:, None] * K.entries / sqrt_w[None, :]
+        Ks = 0.5 * (Ks + Ks.T)
+    G = np.multiply(d, Ks)
+    G.flat[::K.n + 1] += c - d
+    return G
+
+
+def _reference_apply(K, d, c, v):
+    return d * (K.matvec(v) - v) + c * v
+
+
+def _reference_growth(K, d, c):
+    value, y = spectral._eigh_at(_reference_generator(K, d, c), K.n - 1)
+    v = y / np.sqrt(K.grid.weights)
+    k = int(np.argmax(np.abs(v)))
+    if v[k] < 0:
+        v = -v
+    v = v / np.abs(v[k])
+    return value, v, float(np.max(np.abs(_reference_apply(K, d, c, v) - value * v)))
+
+
+def _reference_r0(K, d, beta, gamma):
+    s = 1.0 / np.sqrt(beta)
+    a = _reference_generator(K, d, -gamma)
+    a *= s[:, None]
+    a *= -s
+    w, z = spectral._eigh_at(a, 0)
+    value = 1.0 / w
+    phi = s * z / np.sqrt(w * K.grid.weights)
+    u = beta * phi
+    scale = 1.0 / u[np.argmax(np.abs(u))]
+    u, phi = scale * u, scale * phi
+    residual = float(np.max(np.abs(u + value * _reference_apply(K, d, -gamma, phi))))
+    return value, u, residual
+
+
+def _lean_path_cases(graded_grid):
+    rng = np.random.default_rng(2025)
+    for _ in range(6):
+        inst = random_instance(rng, n_max=64)
+        yield inst.dispersal, inst.params.d_I, inst.beta.values, inst.gamma.values
+    for n in (1, 2, 64, 256):
+        grid = build_grid(n, DomainSpec(0.0, 1.0))
+        kernel = KernelSpec.tophat(1.0) if n < 64 else KernelSpec.triangle(0.25)
+        yield _bump_case(grid, kernel, rng)
+    yield _bump_case(graded_grid, KernelSpec.triangle(0.25), rng)
+    yield _bump_case(_graded(256), KernelSpec.triangle(0.25), rng)
+
+
+def _bump_case(grid, kernel, rng):
+    x = grid.nodes
+    beta = 1.0 + rng.uniform(1.0, 2.0) * np.exp(-(((x - 0.5) / 0.2) ** 2))
+    gamma = rng.uniform(0.5, 1.5) + 0.1 * np.sin(3.0 * x)
+    return assemble_dispersal(grid, kernel), rng.uniform(0.05, 5.0), beta, gamma
+
+
+def test_lean_eigensolve_path_keeps_every_bit(graded_grid):
+    # the cached symmetric form, the strided diagonal and the in-place
+    # residuals give the bits of the out-of-place reference formulas
+    for K, d, beta, gamma in _lean_path_cases(graded_grid):
+        growth = infection_growth_rate(K, d, beta - gamma)
+        value, vector, residual = _reference_growth(K, d, beta - gamma)
+        assert growth.value == value and growth.residual == residual
+        np.testing.assert_array_equal(growth.vector, vector)
+        r0 = basic_reproduction_number(K, d, beta, gamma)
+        value, vector, residual = _reference_r0(K, d, beta, gamma)
+        assert r0.value == value and r0.residual == residual
+        np.testing.assert_array_equal(r0.vector, vector)
+        assert K.symmetric is K.symmetric
+        if np.all(K.grid.weights == K.grid.weights[0]):
+            assert K.symmetric is K.entries
 
 
 class TestDispersalPrincipalEigenpair:
