@@ -41,14 +41,19 @@ def two_cell_K(two_cell):
     return assemble_dispersal(grid, kernel)
 
 
-@pytest.fixture
-def graded_grid():
-    """40 midpoint cells on [0, 1] whose widths grow from about 0.006 to
-    0.035 (edges ``t**1.4``): a grid of unequal cells, below the size at
-    which K is matrix-free."""
-    edges = np.linspace(0.0, 1.0, 41) ** 1.4
+def graded(n):
+    """n midpoint cells on [0, 1] with edges ``t**1.4``: unequal cells whose
+    widths grow along the interval."""
+    edges = np.linspace(0.0, 1.0, n + 1) ** 1.4
     return Grid(nodes=0.5 * (edges[1:] + edges[:-1]), weights=np.diff(edges),
                 domain=DomainSpec(0.0, 1.0))
+
+
+@pytest.fixture
+def graded_grid():
+    """40 graded cells, whose widths grow from about 0.006 to 0.035: below
+    the size at which K is matrix-free."""
+    return graded(40)
 
 
 def const_field(grid, value, role=""):

@@ -10,6 +10,7 @@ from nonlocal_sis import (
     InvalidWindowError,
     State,
     check_convergence,
+    dynamics,
     estimate_rate,
     infection_growth_rate,
     integrate,
@@ -20,7 +21,6 @@ from nonlocal_sis import (
     solve_disease_free,
     solve_endemic,
 )
-from nonlocal_sis import dynamics
 from nonlocal_sis.experiments import random_instance
 
 from conftest import const_field

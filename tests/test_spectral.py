@@ -8,7 +8,6 @@ from nonlocal_sis import (
     DispersalMatrix,
     DomainSpec,
     FieldSpec,
-    Grid,
     InvalidArgumentError,
     InvalidBracketError,
     KernelSpec,
@@ -28,7 +27,7 @@ from nonlocal_sis import (
 from nonlocal_sis.experiments import random_instance
 from nonlocal_sis import spectral
 
-from conftest import const_field
+from conftest import const_field, graded
 
 
 def dense_top(K, d, c):
@@ -142,13 +141,6 @@ def test_eigh_at_matches_scipy_eigh_bitwise(n):
         np.testing.assert_array_equal(vector, vecs[:, 0])
 
 
-def _graded(n):
-    """n midpoint cells on [0, 1] with edges ``t**1.4``, as ``graded_grid``."""
-    edges = np.linspace(0.0, 1.0, n + 1) ** 1.4
-    return Grid(nodes=0.5 * (edges[1:] + edges[:-1]), weights=np.diff(edges),
-                domain=DomainSpec(0.0, 1.0))
-
-
 def test_dense_eigensolve_memory():
     # one n x n array for the growth rate and for R0, two for the d* pencil,
     # plus LAPACK workspace: the matrices go to LAPACK without copies, and
@@ -161,7 +153,7 @@ def test_dense_eigensolve_memory():
         return K, beta, np.full(n, 0.9)
 
     K, beta, gamma = bump_instance(build_grid(n, DomainSpec(0.0, 1.0)))
-    Kg, beta_g, gamma_g = bump_instance(_graded(n))
+    Kg, beta_g, gamma_g = bump_instance(graded(n))
     budgets = [
         (lambda: infection_growth_rate(K, 0.1, beta - gamma), 1.5),
         (lambda: basic_reproduction_number(K, 0.1, beta, gamma), 1.5),
@@ -224,6 +216,13 @@ def _reference_r0(K, d, beta, gamma):
     return value, u, residual
 
 
+def _bump_case(grid, kernel, rng):
+    x = grid.nodes
+    beta = 1.0 + rng.uniform(1.0, 2.0) * np.exp(-(((x - 0.5) / 0.2) ** 2))
+    gamma = rng.uniform(0.5, 1.5) + 0.1 * np.sin(3.0 * x)
+    return assemble_dispersal(grid, kernel), rng.uniform(0.05, 5.0), beta, gamma
+
+
 def _lean_path_cases(graded_grid):
     rng = np.random.default_rng(2025)
     for _ in range(6):
@@ -234,14 +233,7 @@ def _lean_path_cases(graded_grid):
         kernel = KernelSpec.tophat(1.0) if n < 64 else KernelSpec.triangle(0.25)
         yield _bump_case(grid, kernel, rng)
     yield _bump_case(graded_grid, KernelSpec.triangle(0.25), rng)
-    yield _bump_case(_graded(256), KernelSpec.triangle(0.25), rng)
-
-
-def _bump_case(grid, kernel, rng):
-    x = grid.nodes
-    beta = 1.0 + rng.uniform(1.0, 2.0) * np.exp(-(((x - 0.5) / 0.2) ** 2))
-    gamma = rng.uniform(0.5, 1.5) + 0.1 * np.sin(3.0 * x)
-    return assemble_dispersal(grid, kernel), rng.uniform(0.05, 5.0), beta, gamma
+    yield _bump_case(graded(256), KernelSpec.triangle(0.25), rng)
 
 
 def test_lean_eigensolve_path_keeps_every_bit(graded_grid):
@@ -252,13 +244,14 @@ def test_lean_eigensolve_path_keeps_every_bit(graded_grid):
         value, vector, residual = _reference_growth(K, d, beta - gamma)
         assert growth.value == value and growth.residual == residual
         np.testing.assert_array_equal(growth.vector, vector)
+        form = K.symmetric
         r0 = basic_reproduction_number(K, d, beta, gamma)
         value, vector, residual = _reference_r0(K, d, beta, gamma)
         assert r0.value == value and r0.residual == residual
         np.testing.assert_array_equal(r0.vector, vector)
-        assert K.symmetric is K.symmetric
+        assert K.symmetric is form  # formed once, by the first eigensolve
         if np.all(K.grid.weights == K.grid.weights[0]):
-            assert K.symmetric is K.entries
+            assert form is K.entries
 
 
 class TestDispersalPrincipalEigenpair:
