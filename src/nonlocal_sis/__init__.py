@@ -4,8 +4,8 @@ hostile exterior.
 The package discretizes the model on a midpoint quadrature grid, computes
 its threshold quantities (principal eigenvalues, spectral bounds, the basic
 reproduction number), solves for the disease-free equilibrium directly and
-for the endemic one by monotone iteration from below and Newton from above
-in one loop, and time-integrates the dynamics to check extinction and
+for the endemic one by Newton from above and then monotone iteration from
+below, and time-integrates the dynamics to check extinction and
 persistence against those predictions.
 Report files are written by ``write_report`` alone.
 """

@@ -10,17 +10,17 @@ states.
 
 The endemic state and the logistic stationary state differ only in their
 reaction term and its slope, relaxation constant and bracket; one driver
-solves both from two sides, in one loop that takes a step of each side per
-pass.  From below it iterates the classical relaxed monotone map
+solves both from two sides, in two passes.  From above it runs Newton's
+method from an explicit supersolution until its step is small; both
+reactions are concave, so the Newton iterates decrease monotonically to the
+root.  Then, from below, it iterates the classical relaxed monotone map
 ``u <- u + F(u)/rho``, with a relaxation constant ``rho`` large enough that
 the map is order-preserving on the bracket, upward from a closed-form
-multiple of the principal eigenvector, checked to be a subsolution, with
-one evaluation of ``F`` per step.  From above it runs Newton's method from
-an explicit supersolution; both reactions are concave, so the Newton
-iterates decrease monotonically to the root.  A side that fails stops the
-solve at once.  Both limits must agree, which is exactly the uniqueness
-statement for these problems.  The certified residual bound of the limit
-must be at most 1e-8.
+multiple of the principal eigenvector, checked to be a subsolution before
+either pass, with one evaluation of ``F`` per step.  A failing Newton pass
+stops the solve before the relaxed one.  Both limits must agree, which is
+exactly the uniqueness statement for these problems.  The certified
+residual bound of the limit must be at most 1e-8.
 """
 
 from __future__ import annotations
@@ -165,21 +165,20 @@ def _two_sided_solve(K: DispersalMatrix, d: float,
     ``[sub, high]``; returns the limit from above and its gap to the limit
     from below.
 
-    One loop advances both sides, a step of each per pass until each has
-    stopped, so each side keeps the iterates it would take alone and a
-    failing side stops the solve at once.  ``hi`` takes Newton steps
+    Two passes, one after the other.  ``hi`` takes Newton steps
     ``-J du = F(hi)`` from the supersolution ``high`` (one
-    ``K.shifted_solve``, ``J = d (K - Id) + diag(slope)``), and stops one
-    step after its residual reaches ``RESIDUAL_TARGET``; for a concave
+    ``K.shifted_solve``, ``J = d (K - Id) + diag(slope)``), and stops after
+    the step with ``max |du| <= AGREEMENT_TOL / 100``; for a concave
     reaction the iterates decrease monotonically to the root (Ortega &
     Rheinboldt 1970, section 13.3), so ``-J`` stays positive definite on
-    equal cells.  ``lo`` takes relaxed steps ``u <- u + F(u)/rho`` from
+    equal cells.  Then ``lo`` takes relaxed steps ``u <- u + F(u)/rho`` from
     ``sub`` until its residual reaches ``RESIDUAL_TARGET``; the values of
     each residual test are the next increment.  ``F(sub) < 0`` at a node
-    (or NaN) raises ``SolverFailure`` at once, with residual ``-min F(sub)``
-    and zero iterations; ``NEWTON_CAP``, ``ITERATION_CAP``, a stalled
-    relaxed step or a failed Newton solve (singular, or CG that does not
-    converge) raise it with that side's residual and step count.  Iterates
+    (or NaN) raises ``SolverFailure`` before any step, with residual
+    ``-min F(sub)`` and zero iterations; ``NEWTON_CAP``, ``ITERATION_CAP``, a
+    stalled relaxed step or a failed Newton solve (singular, or CG that does
+    not converge) raise it with that side's residual and step count, so a
+    failing Newton side stops the solve before the relaxed pass.  Iterates
     are clamped to ``[max(sub, 0), high]`` (a no-op in exact arithmetic);
     ``monotone_defect`` is the largest movement against the expected
     direction, at roundoff level.  Limits that cross, or differ by more
@@ -192,57 +191,54 @@ def _two_sided_solve(K: DispersalMatrix, d: float,
         return d * (K.matvec(u) - u) + reaction(u)
 
     floor = np.maximum(sub, 0.0)
-    lo, hi = sub, high
-    lo_values = F(lo)
+    lo_values = F(sub)
     if not np.all(lo_values >= 0.0):
         raise SolverFailure("lower end of the bracket is not a subsolution",
                             residual=float(-np.min(lo_values)), iterations=0)
-    lo_residual = float(np.max(np.abs(lo_values)))
-    hi_values = F(hi)
-    hi_residual = float(np.max(np.abs(hi_values)))
-    relaxed = newton = 0
     monotone_defect = 0.0
-    polished = False
-    while not polished or lo_residual > RESIDUAL_TARGET:
-        if not polished:
-            if newton >= NEWTON_CAP:
-                raise SolverFailure(
-                    "Newton iteration from above hit the step cap",
-                    residual=hi_residual, iterations=newton)
-            # convergence is quadratic: one step past the target reaches round-off
-            polished = hi_residual <= RESIDUAL_TARGET
-            try:
-                du = K.shifted_solve(d, d - slope(hi), hi_values)
-            except np.linalg.LinAlgError:
-                du = None
-            if du is None or not np.all(np.isfinite(du)):
-                raise SolverFailure("Newton step: the Jacobian solve failed "
-                                    "(singular, or CG did not converge)",
-                                    residual=hi_residual, iterations=newton)
-            monotone_defect = max(monotone_defect,
-                                  float(np.max(du, initial=0.0)))
-            hi = np.clip(hi + du, floor, high)
-            newton += 1
-            hi_values = F(hi)
-            hi_residual = float(np.max(np.abs(hi_values)))
-        if lo_residual > RESIDUAL_TARGET:
-            if relaxed >= ITERATION_CAP:
-                raise SolverFailure(
-                    "monotone iteration hit the iteration cap",
-                    residual=lo_residual, iterations=relaxed)
-            nxt = lo + lo_values / rho
-            monotone_defect = max(monotone_defect,
-                                  float(np.max(lo - nxt, initial=0.0)))
-            clipped = np.clip(nxt, floor, high)
-            step = float(np.max(np.abs(clipped - lo)))
-            lo = clipped
-            relaxed += 1
-            lo_values = F(lo)
-            lo_residual = float(np.max(np.abs(lo_values)))
-            if step < STALL_STEP and lo_residual > RESIDUAL_TARGET:
-                raise SolverFailure(
-                    "monotone iteration stalled before reaching the residual target",
-                    residual=lo_residual, iterations=relaxed)
+
+    hi, hi_values = high, F(high)
+    newton, step = 0, np.inf
+    while step > AGREEMENT_TOL / 100:
+        if newton >= NEWTON_CAP:
+            raise SolverFailure(
+                "Newton iteration from above hit the step cap",
+                residual=float(np.max(np.abs(hi_values))), iterations=newton)
+        try:
+            du = K.shifted_solve(d, d - slope(hi), hi_values)
+        except np.linalg.LinAlgError:
+            du = None
+        if du is None or not np.all(np.isfinite(du)):
+            raise SolverFailure("Newton step: the Jacobian solve failed "
+                                "(singular, or CG did not converge)",
+                                residual=float(np.max(np.abs(hi_values))),
+                                iterations=newton)
+        monotone_defect = max(monotone_defect, float(np.max(du, initial=0.0)))
+        hi = np.clip(hi + du, floor, high)
+        newton += 1
+        hi_values = F(hi)
+        step = float(np.max(np.abs(du)))
+
+    lo, relaxed = sub, 0
+    lo_residual = float(np.max(np.abs(lo_values)))
+    while lo_residual > RESIDUAL_TARGET:
+        if relaxed >= ITERATION_CAP:
+            raise SolverFailure(
+                "monotone iteration hit the iteration cap",
+                residual=lo_residual, iterations=relaxed)
+        nxt = lo + lo_values / rho
+        monotone_defect = max(monotone_defect,
+                              float(np.max(lo - nxt, initial=0.0)))
+        clipped = np.clip(nxt, floor, high)
+        step = float(np.max(np.abs(clipped - lo)))
+        lo = clipped
+        relaxed += 1
+        lo_values = F(lo)
+        lo_residual = float(np.max(np.abs(lo_values)))
+        if step < STALL_STEP and lo_residual > RESIDUAL_TARGET:
+            raise SolverFailure(
+                "monotone iteration stalled before reaching the residual target",
+                residual=lo_residual, iterations=relaxed)
 
     iterations = relaxed + newton
     if np.any(lo > hi + 1e-12):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from nonlocal_sis import (
     CoefficientField,
     DomainSpec,
     FieldSpec,
+    Grid,
     InvalidArgumentError,
     InvalidCoefficientError,
     KernelSpec,
@@ -16,10 +19,41 @@ from nonlocal_sis import (
     build_grid,
     kernel_value,
     load_coefficient_table,
+    sample_field_values,
     validate_instance,
 )
 
 from conftest import const_field
+
+
+def _grid(nodes, weights):
+    return Grid(nodes=np.array(nodes, dtype=float),
+                weights=np.array(weights, dtype=float), domain=DomainSpec(0.0, 1.0))
+
+
+BAD_DOMAIN_INPUTS = [
+    pytest.param(lambda: _grid([0.25, 0.75], [1.0]),
+                 "nodes and weights must be 1-d and equal length", id="grid-shape"),
+    pytest.param(lambda: _grid([], []), "grid must contain at least one node",
+                 id="grid-empty"),
+    pytest.param(lambda: _grid([0.75, 0.25], [0.5, 0.5]),
+                 "nodes must be strictly increasing", id="grid-order"),
+    pytest.param(lambda: _grid([0.0, 0.75], [0.5, 0.5]),
+                 "nodes must be interior to the domain", id="grid-boundary"),
+    pytest.param(lambda: _grid([0.25, 0.75], [1.5, -0.5]),
+                 "weights must be positive", id="grid-weight-sign"),
+    pytest.param(lambda: _grid([0.25, 0.75], [0.5, 0.25]),
+                 "weights must sum to the domain length", id="grid-weight-sum"),
+    pytest.param(lambda: sample_field_values(FieldSpec("cosine", (1.0,)),
+                                             build_grid(2, DomainSpec(0.0, 1.0))),
+                 "unknown field family 'cosine'", id="field-family"),
+]
+
+
+@pytest.mark.parametrize("call, message", BAD_DOMAIN_INPUTS)
+def test_invalid_domain_input_rejected(call, message):
+    with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+        call()
 
 
 class TestBuildGrid:

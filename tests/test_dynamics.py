@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nonlocal_sis import (
     IntegratorConfig,
@@ -17,6 +18,7 @@ from nonlocal_sis import (
     integrate_linear_infection,
     integrate_logistic,
     integrate_total_population,
+    parse_config,
     rhs,
     solve_disease_free,
     solve_endemic,
@@ -198,6 +200,28 @@ class TestLogisticDynamics:
         np.testing.assert_allclose(traj.fields[-1], stat.field, atol=1e-6)
 
 
+BAD_DYNAMICS_INPUTS = [
+    pytest.param(lambda: State(S=np.ones(2), I=np.ones(3)), InvalidStateError,
+                 "S and I must have the same shape", id="state-shape"),
+    pytest.param(lambda: estimate_rate(np.linspace(0.0, 1.0, 11), np.ones(10)),
+                 InvalidArgumentError,
+                 "times and values must be 1-d and equal length", id="rate-shape"),
+    pytest.param(lambda: estimate_rate(np.linspace(0.0, 1.0, 11), np.zeros(11)),
+                 InvalidWindowError, "series has no positive values",
+                 id="rate-no-positive"),
+    pytest.param(lambda: estimate_rate(np.linspace(0.0, 1.0, 11), np.ones(11),
+                                       window=(0.0, 0.05)),
+                 InvalidWindowError, "window contains fewer than two samples",
+                 id="rate-one-sample"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", BAD_DYNAMICS_INPUTS)
+def test_invalid_dynamics_input_rejected(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestEstimateRate:
     def test_exact_exponential(self):
         t = np.linspace(0.0, 10.0, 201)
@@ -228,6 +252,62 @@ class TestEstimateRate:
         t = np.linspace(0.0, 1.0, 11)
         with pytest.raises(InvalidWindowError):
             estimate_rate(t, np.ones(11), window=(0.5, 2.0))
+
+
+# the persistence-n64 benchmark instance at seed 1
+PERSISTENCE_N64 = """
+scenario = simulate
+grid.n = 64
+domain.left = 0.0
+domain.right = 1.0
+kernel.family = triangle
+kernel.h = 0.25
+beta.family = bump
+beta.base = 1.0
+beta.amp = 1.501182
+beta.center = 0.518019
+beta.width = 0.2
+gamma.family = constant
+gamma.value = 0.9
+lambda.family = constant
+lambda.value = 1.0
+d_S = 1.0
+d_I = 0.1
+integrator.dt = 0.05
+integrator.t_end = 60.0
+integrator.snapshot_stride = 10
+init.s.family = constant
+init.s.value = 0.928832
+init.i.family = constant
+init.i.value = 0.117946
+"""
+
+
+def test_persistence_decays_at_the_linearized_rate():
+    # the sup distance to (S*, I*) decays at the top eigenvalue of the
+    # dense 2n x 2n Jacobian there: measured -0.021652 against -0.021690
+    config = parse_config(PERSISTENCE_N64)
+    inst = config.instance
+    K, params = inst.dispersal, inst.params
+    beta, gamma, lam = inst.beta.values, inst.gamma.values, inst.lam.values
+    dfe = solve_disease_free(K, params.d_S, lam).field
+    pair = solve_endemic(K, params, beta, gamma, dfe)
+    traj = integrate(config.initial, config.integrator, params, K, beta, gamma, lam)
+    target = np.stack([pair.susceptible, pair.infected])
+    distance = np.abs(traj.states - target).max(axis=(1, 2))
+    est = estimate_rate(traj.times, distance, window=(40.0, 60.0))
+
+    # infection b S I / (S + I): its partial derivatives at (S*, I*)
+    S, I = pair.susceptible, pair.infected
+    by_s, by_i = beta * I**2 / (S + I) ** 2, beta * S**2 / (S + I) ** 2
+    L = K.entries - np.eye(K.n)
+    jacobian = np.block([
+        [params.d_S * L - np.diag(by_s), np.diag(gamma - by_i)],
+        [np.diag(by_s), params.d_I * L + np.diag(by_i - gamma)]])
+    top = float(np.max(scipy.linalg.eigvals(jacobian).real))
+    assert top < 0
+    assert est.r_squared > 0.9999
+    assert est.slope == pytest.approx(top, rel=0.01)
 
 
 class TestCheckConvergence:

@@ -280,8 +280,8 @@ class TestTwoSidedDriver:
         assert info.value.residual > equilibrium.RESIDUAL_TARGET
 
     def test_failing_newton_side_stops_the_solve_at_once(self, monkeypatch):
-        # one pass takes one step of each side, so the capped Newton side
-        # raises in the second pass, not after the ~40,000 relaxed steps
+        # Newton runs first, so the capped Newton pass raises before the
+        # ~40,000 relaxed steps begin
         K, beta, dfe = _persistence_n64(d_S=1.0)
         calls = self._count_matvecs(K, monkeypatch)
         monkeypatch.setattr(equilibrium, "NEWTON_CAP", 1)
@@ -289,7 +289,7 @@ class TestTwoSidedDriver:
             solve_endemic(K, ModelParams(d_S=1.0, d_I=0.1), beta,
                           np.full(64, 0.9), dfe)
         assert info.value.iterations == 1
-        # growth-rate residual, F at both ends, one step of each side
+        # growth-rate residual, F at both ends, F after the one Newton step
         assert calls.total <= 5
 
     def test_singular_newton_step_reports_diagnostics(self, two_cell_K):
@@ -301,6 +301,48 @@ class TestTwoSidedDriver:
                 np.full(2, 1.5))
         assert info.value.iterations == 0
         assert info.value.residual > equilibrium.RESIDUAL_TARGET
+
+    def test_stalled_relaxed_pass_reports_diagnostics(self, two_cell_K):
+        # on constants F(u) = u - u^2, so F(0.5) = 0.25 and the first
+        # relaxed step 0.25 / rho is below STALL_STEP
+        with pytest.raises(SolverFailure, match="stalled") as info:
+            equilibrium._two_sided_solve(
+                two_cell_K, 1.0, lambda u: 1.5 * u - u * u,
+                lambda u: 1.5 - 2.0 * u, 1e14, np.full(2, 0.5),
+                np.full(2, 1.5))
+        assert 0.25 / 1e14 < equilibrium.STALL_STEP
+        assert info.value.iterations == 1
+        assert info.value.residual == pytest.approx(0.25)
+
+    def test_crossing_limits_raise(self, two_cell_K, monkeypatch):
+        # on constants F(u) = -(u - 1)(u - 2)(u - 3) exp(-1.5 u): F is flat
+        # at high = 4, so the first Newton step lands on the root 1, and the
+        # relaxed map with a rho far too small is not order-preserving: its
+        # first step from 0.5 overshoots to high, and it descends to 3
+        def reaction(u):
+            return 0.5 * u - (u - 1.0) * (u - 2.0) * (u - 3.0) * np.exp(-1.5 * u)
+
+        def slope(u):
+            cubic = (u - 1.0) * (u - 2.0) * (u - 3.0)
+            return 0.5 - (3.0 * u**2 - 12.0 * u + 11.0 - 1.5 * cubic) * np.exp(-1.5 * u)
+
+        calls = self._count_matvecs(two_cell_K, monkeypatch)
+        with pytest.raises(UniquenessViolation, match="crossed") as info:
+            equilibrium._two_sided_solve(two_cell_K, 1.0, reaction, slope, 0.1,
+                                         np.full(2, 0.5), np.full(2, 4.0))
+        assert info.value.residual == pytest.approx(2.0, abs=1e-8)
+        assert info.value.iterations == calls.total - 2
+
+    def test_nan_certified_residual_is_caught(self, endemic_setup, monkeypatch):
+        grid, K, beta, gamma, lam, params = endemic_setup
+        dfe = solve_disease_free(K, params.d_S, lam).field
+        pair = solve_endemic(K, params, beta, gamma, dfe)
+        monkeypatch.setattr(equilibrium, "_fresh_residual", lambda *args: math.nan)
+        with pytest.raises(SolverInconsistency, match="certified residual") as info:
+            solve_endemic(K, params, beta, gamma, dfe)
+        # the steps of both passes
+        assert info.value.iterations == pair.iterations
+        assert math.isnan(info.value.residual)
 
     @staticmethod
     def _count_matvecs(K, monkeypatch):

@@ -260,6 +260,13 @@ sweep.count = 4
             "IntegrationFailure: state dipped to -9.000e-01 at t=0.01 "
             f"(residual={0.1 - 1.0}, iterations=1)"]
 
+    def test_failed_verify_properties_reported(self, monkeypatch):
+        monkeypatch.setattr(experiments, "run_verify_suite",
+                            lambda *args: {"failed": 2})
+        report = run_scenario(parse_config("scenario = verify\n"))
+        assert not report.ok
+        assert report.errors == ["2 verify properties failed"]
+
     @pytest.mark.parametrize("scenario", ["equilibrium", "simulate"])
     def test_one_assembly_per_scenario(self, scenario, monkeypatch):
         # validation reads its row masses off the instance's cached K
@@ -446,6 +453,14 @@ class TestCli:
             load_config(cfg)
         assert info.value.key == "beta.path"
 
+    def test_out_dir_that_is_a_file_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SPECTRAL_CONFIG)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert cli_main(["--config", str(cfg), "--out-dir", str(taken)]) == 2
+        assert "failed to write report" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path):
         code = cli_main(["--config", str(tmp_path / "nope.cfg")])
         assert code == 2
@@ -592,7 +607,22 @@ NEVER_RUNNABLE = [
 ]
 
 
-@pytest.mark.parametrize("values, key, message", NEVER_RUNNABLE)
+# Refused before anything ran, but reached by no other test.
+CONFIG_FAULTS = [
+    pytest.param({"d_S": ""}, None, "empty key or value", id="empty-value"),
+    pytest.param({"scenario": None}, "scenario", "missing required key 'scenario'",
+                 id="no-scenario"),
+    pytest.param({"scenario": "forecast"}, "scenario", "unknown scenario 'forecast'",
+                 id="unknown-scenario"),
+    pytest.param({"kernel.family": "cosine"}, "kernel.family",
+                 "unknown kernel family 'cosine'", id="kernel-family"),
+    pytest.param({"beta.family": "table", "beta.value": None,
+                  "beta.path": "absent.csv"}, "beta.path",
+                 "table for 'beta' not found", id="missing-table"),
+]
+
+
+@pytest.mark.parametrize("values, key, message", NEVER_RUNNABLE + CONFIG_FAULTS)
 def test_config_that_can_never_run_exits_two(tmp_path, capsys, values, key, message):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(with_values(

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonlocal_sis import (
+    DispersalMatrix,
     DomainSpec,
     InvalidArgumentError,
     KernelSpec,
@@ -61,6 +62,28 @@ def test_entries_nonnegative_diagonal_positive():
         assert np.all(K.entries >= 0)
         assert np.all(np.diag(K.entries) > 0)
         assert K.row_masses().max() <= 1.0 + 1e-12
+
+
+TWO_CELLS = build_grid(2, DomainSpec(0.0, 1.0))
+
+BAD_DISPERSAL_MATRICES = [
+    pytest.param(lambda: DispersalMatrix(np.eye(2)),
+                 "need a grid and exactly one of entries, column", id="no-grid"),
+    pytest.param(lambda: DispersalMatrix(grid=TWO_CELLS),
+                 "need a grid and exactly one of entries, column", id="neither"),
+    pytest.param(lambda: DispersalMatrix(np.eye(2), TWO_CELLS, column=np.ones(2)),
+                 "need a grid and exactly one of entries, column", id="both"),
+    pytest.param(lambda: DispersalMatrix(np.eye(3), TWO_CELLS),
+                 r"matrix shape \(3, 3\) does not match grid n=2", id="entries-shape"),
+    pytest.param(lambda: DispersalMatrix(grid=TWO_CELLS, column=np.ones(3)),
+                 r"matrix shape \(3,\) does not match grid n=2", id="column-shape"),
+]
+
+
+@pytest.mark.parametrize("call, message", BAD_DISPERSAL_MATRICES)
+def test_invalid_dispersal_matrix_rejected(call, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        call()
 
 
 class TestApplyDispersal:
