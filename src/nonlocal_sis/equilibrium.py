@@ -197,9 +197,9 @@ def _two_sided_solve(K: DispersalMatrix, d: float,
                             residual=float(-np.min(lo_values)), iterations=0)
     monotone_defect = 0.0
 
-    hi, hi_values = high, F(high)
-    newton, step = 0, np.inf
+    hi, newton, step = high, 0, np.inf
     while step > AGREEMENT_TOL / 100:
+        hi_values = F(hi)
         if newton >= NEWTON_CAP:
             raise SolverFailure(
                 "Newton iteration from above hit the step cap",
@@ -216,7 +216,6 @@ def _two_sided_solve(K: DispersalMatrix, d: float,
         monotone_defect = max(monotone_defect, float(np.max(du, initial=0.0)))
         hi = np.clip(hi + du, floor, high)
         newton += 1
-        hi_values = F(hi)
         step = float(np.max(np.abs(du)))
 
     lo, relaxed = sub, 0

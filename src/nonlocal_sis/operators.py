@@ -19,7 +19,10 @@ only those products or the first column, so no n x n array is formed.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+import scipy.linalg
 
 from .domain import Grid, KernelSpec, _readonly, kernel_value
 from .errors import InvalidArgumentError
@@ -68,13 +71,12 @@ class DispersalMatrix:
         if grid is None or (entries is None) == (column is None):
             raise InvalidArgumentError("need a grid and exactly one of entries, column")
         self.grid, self.n = grid, grid.n
-        self._fft = self._symmetric = None  # see _fft_plan, symmetric
         self.sqrt_weights = _readonly(np.sqrt(grid.weights))
         if column is None:
-            self.column, self._entries = None, _readonly(entries)
-            shape, expected = self._entries.shape, (grid.n, grid.n)
+            self.column, self.entries = None, _readonly(entries)
+            shape, expected = self.entries.shape, (grid.n, grid.n)
         else:
-            self.column, self._entries = _readonly(column), None
+            self.column = _readonly(column)
             shape, expected = self.column.shape, (grid.n,)
         if shape != expected:
             raise InvalidArgumentError(
@@ -82,30 +84,21 @@ class DispersalMatrix:
         # whether products, eigensolves and solves use the Toeplitz structure
         self.matrix_free = column is not None and grid.n >= TOEPLITZ_MIN_N
 
-    @property
+    @functools.cached_property
     def entries(self) -> np.ndarray:
-        if self._entries is None:
-            dense = np.empty((self.n, self.n))
-            dense[...] = self._toeplitz_view()
-            dense.flags.writeable = False
-            self._entries = dense
-        return self._entries
+        # reached only for a K given by its column: __init__ sets given entries
+        dense = scipy.linalg.toeplitz(self.column)
+        dense.flags.writeable = False
+        return dense
 
-    @property
+    @functools.cached_property
     def symmetric(self) -> np.ndarray:
-        if self._symmetric is None:
-            w, s, Ks = self.grid.weights, self.sqrt_weights, self.entries
-            if not (w == w[0]).all():  # on equal cells K is exactly symmetric
-                Ks = s[:, None] * Ks / s[None, :]
-                Ks = np.multiply(0.5, Ks + Ks.T, out=Ks)  # scrub roundoff asymmetry
-                Ks.flags.writeable = False
-            self._symmetric = Ks
-        return self._symmetric
-
-    def _toeplitz_view(self) -> np.ndarray:
-        """K as a read-only n x n view of one length ``2n - 1`` array."""
-        mirrored = np.concatenate([self.column[:0:-1], self.column])
-        return np.lib.stride_tricks.sliding_window_view(mirrored, self.n)[::-1]
+        w, s, Ks = self.grid.weights, self.sqrt_weights, self.entries
+        if not (w == w[0]).all():  # on equal cells K is exactly symmetric
+            Ks = s[:, None] * Ks / s[None, :]
+            Ks = np.multiply(0.5, Ks + Ks.T, out=Ks)  # scrub roundoff asymmetry
+            Ks.flags.writeable = False
+        return Ks
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
         """``K u`` for a float node field, or for each row of a stack of
@@ -124,7 +117,7 @@ class DispersalMatrix:
             return np.stack([self.entries @ field for field in u])
         from scipy import fft  # imported on the large-grid path only
 
-        m, spectrum, lo, hi = self._fft_plan()
+        m, spectrum, lo, hi = self._fft_plan
         out = fft.irfft(spectrum * fft.rfft(u, m), m)[..., :self.n]
         if not u.all():
             nonzeros = np.zeros(u.shape[:-1] + (self.n + 1,))
@@ -197,6 +190,7 @@ class DispersalMatrix:
         nonzero = np.flatnonzero(self.column)
         return int(nonzero[-1]) if nonzero.size else 0
 
+    @functools.cached_property
     def _fft_plan(self) -> tuple:
         """Embedding length, spectrum and band limits, built on first use.
 
@@ -204,19 +198,17 @@ class DispersalMatrix:
         ``m >= 2n - 1`` (Chan & Ng, SIAM Review 38, 1996), whose spectrum
         is real.  Row ``i`` of K is zero outside columns ``lo[i]:hi[i]``.
         """
-        if self._fft is None:
-            from scipy import fft
+        from scipy import fft
 
-            n = self.n
-            m = fft.next_fast_len(2 * n - 1, real=True)
-            embedding = np.zeros(m)
-            embedding[:n] = self.column
-            embedding[m - n + 1:] = self.column[:0:-1]
-            band = self._band()
-            nodes = np.arange(n)
-            self._fft = (m, fft.rfft(embedding).real, np.maximum(nodes - band, 0),
-                         np.minimum(nodes + band, n - 1) + 1)
-        return self._fft
+        n = self.n
+        m = fft.next_fast_len(2 * n - 1, real=True)
+        embedding = np.zeros(m)
+        embedding[:n] = self.column
+        embedding[m - n + 1:] = self.column[:0:-1]
+        band = self._band()
+        nodes = np.arange(n)
+        return (m, fft.rfft(embedding).real, np.maximum(nodes - band, 0),
+                np.minimum(nodes + band, n - 1) + 1)
 
     def row_masses(self) -> np.ndarray:
         if not self.matrix_free:

@@ -132,13 +132,15 @@ def _eigh_at(a: np.ndarray, k: int) -> tuple[float, np.ndarray]:
 
     It goes to LAPACK as its transpose, which is the same matrix in Fortran
     order, so no copy is made.  Input finiteness is checked by the callers.
+    A failed call (``info != 0``) raises ``SolverFailure``.
     """
     lwork, liwork, _ = _syevr_lwork(a.shape[0], lower=1)
     w, z, _, _, info = scipy.linalg.lapack.dsyevr(
         a.T, range="I", il=k + 1, iu=k + 1, lower=1, lwork=int(lwork),
         liwork=int(liwork), overwrite_a=1)
     if info != 0:
-        raise np.linalg.LinAlgError(f"dsyevr failed with info={info}")
+        raise SolverFailure(f"dsyevr failed with info={info}", residual=None,
+                            iterations=1)
     return float(w[0]), z[:, 0]
 
 

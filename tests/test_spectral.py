@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.optimize import brentq
 
 from nonlocal_sis import (
     DispersalMatrix,
@@ -558,6 +559,58 @@ def test_threshold_quantities_converge_at_second_order(kernel):
     richardson = np.array(values[1:]) - diffs / 3.0
     spread = np.abs(richardson[2] - richardson[1]) / np.abs(diffs[2])
     assert np.all(spread <= 0.01), spread
+
+
+def _local_limit(N, D):
+    """Oracle: ``mu``, R0 and ``D*`` of the diffusive model ``D u'' + (beta -
+    gamma) u`` on (0, 1) with u = 0 at both ends, by second differences on
+    ``N`` interior nodes; each a tridiagonal eigenvalue of its own."""
+    x = np.arange(1, N + 1) / (N + 1)
+    beta = 1.0 + 1.5 * np.exp(-(((x - 0.5) / 0.2) ** 2))
+    gamma, q = 0.9, (N + 1) ** 2
+
+    def mu(D):
+        return scipy.linalg.eigh_tridiagonal(
+            beta - gamma - 2 * D * q, np.full(N - 1, D * q), eigvals_only=True,
+            select="i", select_range=(N - 1, N - 1))[0]
+
+    # R0 = 1 / w for the bottom eigenvalue w of s (-A) s, s = beta^{-1/2}, with
+    # A = D u'' - gamma u: a congruence that keeps the matrix tridiagonal
+    s = 1.0 / np.sqrt(beta)
+    w = scipy.linalg.eigh_tridiagonal(
+        s * s * (2 * D * q + gamma), -s[:-1] * s[1:] * D * q, eigvals_only=True,
+        select="i", select_range=(0, 0))[0]
+    return np.array([mu(D), 1.0 / w, brentq(mu, 0.01, 1.0, xtol=1e-14)])
+
+
+def test_threshold_quantities_tend_to_the_local_diffusion_limit():
+    # with the kernel J_h(z) = J(z/h)/h and d = 2 D / int z^2 J_h = 12 D/h^2
+    # for the triangle, nonlocal dispersal with a hostile exterior tends to
+    # D u'' with u = 0 outside (Andreu-Vaillo, Mazon, Rossi & Toledo-Melero,
+    # Nonlocal Diffusion Problems, AMS, 2010), so mu, R0 and d* h^2/12 tend
+    # to mu, R0 and D* of the diffusive SIS model: an oracle that shares no
+    # code with K.  The errors are first order in h (the exterior's boundary
+    # layer): measured 2.27e-2, 7.37e-3, 2.85e-3 for mu; the Richardson
+    # values 2 v(h/2) - v(h) from h = 0.1, 0.05 are within 0.18%, 0.04% and
+    # 0.16% of the oracle, and the oracle at 2N nodes within 5.3e-8 of itself.
+    D = 0.02
+    oracle = _local_limit(4000, D)
+    assert np.all(np.abs(_local_limit(8000, D) / oracle - 1.0) <= 1e-6)
+    values = []
+    for h in (0.2, 0.1, 0.05):
+        n = round(40 / h)
+        grid = build_grid(n, DomainSpec(0.0, 1.0))
+        K = assemble_dispersal(grid, KernelSpec.triangle(h))
+        beta = sample_field_values(FieldSpec.bump(1.0, 1.5, 0.5, 0.2), grid)
+        gamma = np.full(n, 0.9)
+        d = 12 * D / h**2
+        values.append([infection_growth_rate(K, d, beta - gamma).value,
+                       basic_reproduction_number(K, d, beta, gamma).value,
+                       critical_dispersal_rate(K, beta, gamma).d_critical * h**2 / 12])
+    errors = np.abs(np.array(values) - oracle)
+    assert np.all(errors[1:] < errors[:-1]), errors
+    richardson = 2 * np.array(values[2]) - np.array(values[1])
+    assert np.all(np.abs(richardson / oracle - 1.0) <= 0.005), richardson / oracle
 
 
 def test_infected_dispersal_suppresses_the_disease():
