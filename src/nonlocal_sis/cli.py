@@ -36,6 +36,9 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except UnicodeDecodeError as exc:
+        print(f"config error: {args.config} is not UTF-8 text: {exc}", file=sys.stderr)
+        return 2
 
     out_dir = args.out_dir or config.get("output.dir") or "."
     report = run_scenario(config)

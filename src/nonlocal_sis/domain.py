@@ -93,7 +93,9 @@ class Grid:
             raise InvalidArgumentError("nodes must be interior to the domain")
         if np.any(self.weights <= 0):
             raise InvalidArgumentError("weights must be positive")
-        if abs(self.weights.sum() - self.domain.length) > QUADRATURE_TOL:
+        # relative to the length on long domains: the sum's rounding grows with it
+        length = self.domain.length
+        if abs(self.weights.sum() - length) > QUADRATURE_TOL * max(1.0, length):
             raise InvalidArgumentError("weights must sum to the domain length")
 
     @property
@@ -255,8 +257,11 @@ def build_field(spec: FieldSpec, grid: Grid, role: str = "") -> CoefficientField
 
 def load_coefficient_table(path) -> np.ndarray:
     """Read a coefficient table: one value per line, plain CSV column."""
-    with open(path, "r", encoding="utf-8") as f:
-        rows = [line.strip() for line in f if line.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            rows = [line.strip() for line in f if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise InvalidArgumentError(f"table {path} is not UTF-8 text: {exc}") from None
     try:
         return np.array([float(r) for r in rows])
     except ValueError as exc:

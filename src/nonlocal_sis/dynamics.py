@@ -142,25 +142,63 @@ def rhs(state: State, params, K: DispersalMatrix, beta, gamma,
 
 
 def _rhs_raw(y, d_s, d_i, K, beta, gamma, lam):
-    """Right-hand side for the stacked state ``y = (S, I)``, stacked."""
+    """Right-hand side for the stacked state ``y = (S, I)``, stacked.
+
+    Written into the fresh ``(2, n)`` product of K, in the order of
+    ``dS = d_s (K S - S) + lam - infect + gamma I`` and
+    ``dI = d_i (K I - I) + infect - gamma I``.
+    """
     S, I = y
-    KS, KI = K.matvec(y)
+    out = K.matvec(y)
+    dS, dI = out
     total = S + I
     infect = np.divide(beta * S * I, total, out=np.zeros_like(total),
                        where=total > 0.0)
-    dS = d_s * (KS - S) + lam - infect + gamma * I
-    dI = d_i * (KI - I) + infect - gamma * I
-    return np.stack([dS, dI])
+    recovered = gamma * I
+    dS -= S
+    dS *= d_s
+    dS += lam
+    dS -= infect
+    dS += recovered
+    dI -= I
+    dI *= d_i
+    dI += infect
+    dI -= recovered
+    return out
 
 
 def _step(y: np.ndarray, dt: float, f, method: str) -> np.ndarray:
+    """One step from ``y``; ``f`` must return a fresh array, which the step
+    may overwrite.
+
+    RK4 forms its stages in one buffer and sums in ``k2``, with the
+    operands, order and association of
+    ``y + (dt / 6) (k1 + 2 k2 + 2 k3 + k4)``.
+    """
     if method == "explicit_euler":
-        return y + dt * f(y)
+        k1 = f(y)
+        k1 *= dt
+        k1 += y
+        return k1
+    half = 0.5 * dt
     k1 = f(y)
-    k2 = f(y + 0.5 * dt * k1)
-    k3 = f(y + 0.5 * dt * k2)
-    k4 = f(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    stage = np.multiply(k1, half)
+    stage += y
+    k2 = f(stage)
+    np.multiply(k2, half, out=stage)
+    stage += y
+    k3 = f(stage)
+    np.multiply(k3, dt, out=stage)
+    stage += y
+    k4 = f(stage)
+    k2 *= 2.0
+    k2 += k1
+    k3 *= 2.0
+    k2 += k3
+    k2 += k4
+    k2 *= dt / 6.0
+    k2 += y
+    return k2
 
 
 def _sup_distance(fields: np.ndarray, target=0.0) -> np.ndarray:
@@ -189,7 +227,7 @@ def _run(y0: np.ndarray, config: IntegratorConfig,
     clip_events = 0
     for k in range(1, n_steps + 1):
         y = _step(y, config.dt, f, config.method)
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise IntegrationFailure(f"non-finite state at t={k * config.dt:.6g}",
                                      residual=None, iterations=k)
         lowest = float(y.min())

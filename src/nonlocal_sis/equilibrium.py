@@ -188,7 +188,12 @@ def _two_sided_solve(K: DispersalMatrix, d: float,
     ``AGREEMENT_TOL`` (or NaN) it raises ``SolverInconsistency``.
     """
     def F(u: np.ndarray) -> np.ndarray:
-        return d * (K.matvec(u) - u) + reaction(u)
+        # in place on the fresh product: d (K u - u) + reaction(u), same bits
+        values = K.matvec(u)
+        values -= u
+        values *= d
+        values += reaction(u)
+        return values
 
     floor = np.maximum(sub, 0.0)
     lo_values = F(sub)
@@ -218,22 +223,26 @@ def _two_sided_solve(K: DispersalMatrix, d: float,
         newton += 1
         step = float(np.max(np.abs(du)))
 
-    lo, relaxed = sub, 0
-    lo_residual = float(np.max(np.abs(lo_values)))
+    # The relaxed steps write into the fresh F(lo) and one scratch field;
+    # np.minimum(np.maximum(.)) is np.clip's clamp, signed zeros included.
+    lo, relaxed, work = sub, 0, np.empty_like(lo_values)
+    lo_residual = float(np.abs(lo_values, out=work).max())
     while lo_residual > RESIDUAL_TARGET:
         if relaxed >= ITERATION_CAP:
             raise SolverFailure(
                 "monotone iteration hit the iteration cap",
                 residual=lo_residual, iterations=relaxed)
-        nxt = lo + lo_values / rho
-        monotone_defect = max(monotone_defect,
-                              float(np.max(lo - nxt, initial=0.0)))
-        clipped = np.clip(nxt, floor, high)
-        step = float(np.max(np.abs(clipped - lo)))
-        lo = clipped
+        nxt = np.divide(lo_values, rho, out=lo_values)
+        nxt += lo
+        monotone_defect = max(monotone_defect, float(
+            np.subtract(lo, nxt, out=work).max(initial=0.0)))
+        np.maximum(nxt, floor, out=nxt)
+        np.minimum(nxt, high, out=nxt)
+        step = float(np.abs(np.subtract(nxt, lo, out=work), out=work).max())
+        lo = nxt
         relaxed += 1
         lo_values = F(lo)
-        lo_residual = float(np.max(np.abs(lo_values)))
+        lo_residual = float(np.abs(lo_values, out=work).max())
         if step < STALL_STEP and lo_residual > RESIDUAL_TARGET:
             raise SolverFailure(
                 "monotone iteration stalled before reaching the residual target",
@@ -291,28 +300,37 @@ def solve_endemic(K: DispersalMatrix, params: ModelParams, beta, gamma,
             "no endemic state exists")
 
     high = (d_s / d_i) * dfe
+    # factors of the reaction that do not depend on I, formed once
+    s_beta, s_dfe, d_gap = d_s * beta_v, d_s * dfe, d_s - d_i
     # F(eps psi) >= 0 wherever eps e <= mu d_S S_dfe (mu psi = d_I (K psi -
     # psi) + m psi, e = psi (d_S beta - mu (d_S - d_I))); 1/2 covers the
     # eigenpair's residual.  eps <= 0.1 min(high) keeps the denominator
     # d_S S_dfe + (d_S - d_I) I >= denom_floor > 0 on [eps psi, high].
     mu, psi = growth.value, growth.vector
-    e = psi * (d_s * beta_v - mu * (d_s - d_i))
+    e = psi * (s_beta - mu * d_gap)
     eps = min(0.1 * float(np.min(high)), 0.5 * float(
         np.min(mu * d_s * dfe[e > 0] / e[e > 0], initial=np.inf)))
-    denom_floor = d_s * dfe * min(1.0, d_s / d_i)
+    denom_floor = s_dfe * min(1.0, d_s / d_i)
 
     def reaction(I: np.ndarray) -> np.ndarray:
-        return (m - d_s * beta_v * I / (d_s * dfe + (d_s - d_i) * I)) * I
+        # (m - d_s beta I / (d_s S_dfe + (d_s - d_i) I)) I, in two arrays
+        loss = s_beta * I
+        denom = d_gap * I
+        denom += s_dfe
+        loss /= denom
+        np.subtract(m, loss, out=loss)
+        loss *= I
+        return loss
 
     def slope(I: np.ndarray) -> np.ndarray:
         # quotient-rule derivative of the reaction
-        denom = d_s * dfe + (d_s - d_i) * I
-        return m - d_s * beta_v * I * (2.0 * d_s * dfe + (d_s - d_i) * I) / denom**2
+        denom = s_dfe + d_gap * I
+        return m - s_beta * I * (2.0 * d_s * dfe + d_gap * I) / denom**2
 
     # Relaxation constant: d_I plus a bound for the reaction slope on the
     # bracket, from the same quotient-rule derivative.
-    bound = np.abs(m) + d_s * beta_v * high * (
-        2.0 * d_s * dfe + abs(d_s - d_i) * high) / denom_floor**2
+    bound = np.abs(m) + s_beta * high * (
+        2.0 * d_s * dfe + abs(d_gap) * high) / denom_floor**2
     rho = 1.1 * (d_i + float(np.max(bound)))
 
     res, gap = _two_sided_solve(K, d_i, reaction, slope, rho, eps * psi, high)

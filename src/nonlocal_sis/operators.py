@@ -107,14 +107,18 @@ class DispersalMatrix:
         The FFT product keeps two exact properties of ``K u`` that its
         round-off (about 1e-17 of ``max |u|``) would break: it is 0 at every
         node whose kernel band holds no nonzero of ``u``, and, since
-        K >= 0 entrywise, it is nonnegative when ``u`` is.
+        K >= 0 entrywise, it is nonnegative when ``u`` is.  The result is
+        a new array, which callers may overwrite.
         """
         if not self.matrix_free:
             if u.ndim == 1:
                 return self.entries @ u
             # one matrix-vector product per field: the same bits as a
             # single field, which a matrix-matrix product does not give
-            return np.stack([self.entries @ field for field in u])
+            out = np.empty(u.shape)
+            for field, row in zip(u, out):
+                np.matmul(self.entries, field, out=row)
+            return out
         from scipy import fft  # imported on the large-grid path only
 
         m, spectrum, lo, hi = self._fft_plan

@@ -9,11 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from nonlocal_sis import cli
-
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-CONFIGS = sorted((ROOT / "demos" / "configs").glob("*.cfg"))
 
 
 def _env(**extra):
@@ -29,12 +26,6 @@ def test_demo_script_runs(script, tmp_path):
     proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=_env(),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-
-
-@pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.name)
-def test_demo_config_runs(config, tmp_path):
-    assert cli.main(["--config", str(config), "--out-dir", str(tmp_path)]) == 0
-    assert (tmp_path / "report.json").is_file()
 
 
 @pytest.mark.parametrize("args", [

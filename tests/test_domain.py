@@ -78,6 +78,13 @@ class TestBuildGrid:
         with pytest.raises(InvalidArgumentError):
             DomainSpec(1.0, 1.0)
 
+    @pytest.mark.parametrize("length", [1e4, 1e5])
+    def test_long_domain_accepted(self, length):
+        # the weights' rounding error, 1.8e-12 and 1.5e-11 here, scales with
+        # the length; an absolute 1e-12 bound used to reject these grids
+        g = build_grid(7, DomainSpec(0.0, length))
+        assert g.weights.sum() == pytest.approx(length, rel=1e-12, abs=0.0)
+
     @given(n=st.integers(1, 400),
            left=st.floats(-5, 5),
            length=st.floats(0.01, 10))

@@ -3,13 +3,17 @@ import pytest
 import scipy.linalg
 
 from nonlocal_sis import (
+    DomainSpec,
     IntegratorConfig,
     IntegrationFailure,
     InvalidArgumentError,
     InvalidConfigError,
     InvalidStateError,
     InvalidWindowError,
+    KernelSpec,
     State,
+    assemble_dispersal,
+    build_grid,
     check_convergence,
     dynamics,
     estimate_rate,
@@ -505,3 +509,42 @@ class TestIntegrationFailure:
         assert str(info.value) == "non-finite state at t=1"
         assert info.value.residual is None
         assert info.value.iterations == 2
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+def test_lean_step_keeps_the_textbook_bits(n):
+    # the right-hand side written into the product of K and the RK4 step
+    # summed in one of its stages give the bits of the out-of-place
+    # formulas, on a dense K (n = 64) and a matrix-free one (n = 1024);
+    # reordering any operation of either breaks the equality
+    K = assemble_dispersal(build_grid(n, DomainSpec(0.0, 1.0)),
+                           KernelSpec.triangle(0.25))
+    assert K.matrix_free == (n == 1024)
+    rng = np.random.default_rng(n)
+    beta, gamma, lam = (rng.uniform(0.5, 2.0, n) for _ in range(3))
+    y = rng.uniform(0.0, 2.0, (2, n))
+    y[:, :3] = 0.0  # nodes with no population take the masked branch
+    before = y.copy()
+    d_s, d_i, dt = 1.0, 0.1, 0.05
+
+    def f(y):
+        return dynamics._rhs_raw(y, d_s, d_i, K, beta, gamma, lam)
+
+    S, I = y
+    KS, KI = K.matvec(y)
+    total = S + I
+    infect = np.divide(beta * S * I, total, out=np.zeros_like(total),
+                       where=total > 0.0)
+    dS = d_s * (KS - S) + lam - infect + gamma * I
+    dI = d_i * (KI - I) + infect - gamma * I
+    np.testing.assert_array_equal(f(y), np.stack([dS, dI]))
+
+    k1 = f(y)
+    k2 = f(y + 0.5 * dt * k1)
+    k3 = f(y + 0.5 * dt * k2)
+    k4 = f(y + dt * k3)
+    np.testing.assert_array_equal(dynamics._step(y, dt, f, "rk4"),
+                                  y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    np.testing.assert_array_equal(dynamics._step(y, dt, f, "explicit_euler"),
+                                  y + dt * k1)
+    np.testing.assert_array_equal(y, before)

@@ -462,6 +462,26 @@ class TestCli:
             load_config(cfg)
         assert info.value.key == "beta.path"
 
+    def test_config_that_is_not_utf8_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(SPECTRAL_CONFIG.encode() + "# café\n".encode("latin-1"))
+        assert cli_main(["--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert "run.cfg is not UTF-8 text" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_table_that_is_not_utf8_exits_two(self, tmp_path, capsys):
+        (tmp_path / "beta.csv").write_bytes("1.5\n2.5 # café\n".encode("latin-1"))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SPECTRAL_CONFIG.replace(
+            "beta.family = constant\nbeta.value = 2.0",
+            "beta.family = table\nbeta.path = beta.csv"))
+        assert cli_main(["--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert "beta.csv is not UTF-8 text" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+        with pytest.raises(ConfigError) as info:
+            load_config(cfg)
+        assert info.value.key == "beta.path"
+
     def test_out_dir_that_is_a_file_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(SPECTRAL_CONFIG)
