@@ -168,18 +168,15 @@ def _rhs_raw(y, d_s, d_i, K, beta, gamma, lam):
 
 
 def _step(y: np.ndarray, dt: float, f, method: str) -> np.ndarray:
-    """One step from ``y``; ``f`` must return a fresh array, which the step
-    may overwrite.
+    """One step from ``y``; ``f`` must return a fresh array, which RK4 may
+    overwrite.
 
     RK4 forms its stages in one buffer and sums in ``k2``, with the
     operands, order and association of
     ``y + (dt / 6) (k1 + 2 k2 + 2 k3 + k4)``.
     """
     if method == "explicit_euler":
-        k1 = f(y)
-        k1 *= dt
-        k1 += y
-        return k1
+        return y + dt * f(y)
     half = 0.5 * dt
     k1 = f(y)
     stage = np.multiply(k1, half)
