@@ -7,9 +7,10 @@ from the reduced scalar problem after eliminating the susceptibles through
 the conserved combination d_S*S + d_I*I; the solver runs relaxed monotone
 steps upward from a small multiple of the principal eigenvector and
 Newton steps downward from the explicit supersolution
-(d_S/d_I) * disease_free, and both limits must agree, which is exactly the
-uniqueness statement.  The reported iterations are the relaxed steps plus
-the Newton steps.
+(d_S/d_I) * disease_free.  The Newton pass runs first; the relaxed pass
+then stops on its gap to the Newton limit (or when a step raises no node),
+and both limits must agree, which is exactly the uniqueness statement.  The
+reported iterations are the relaxed steps plus the Newton steps.
 """
 
 import numpy as np

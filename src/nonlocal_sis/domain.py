@@ -85,6 +85,8 @@ class Grid:
         object.__setattr__(self, "weights", _readonly(self.weights))
         if self.nodes.ndim != 1 or self.nodes.shape != self.weights.shape:
             raise InvalidArgumentError("nodes and weights must be 1-d and equal length")
+        if not (np.isfinite(self.nodes).all() and np.isfinite(self.weights).all()):
+            raise InvalidArgumentError("nodes and weights must be finite")
         if self.nodes.size == 0:
             raise InvalidArgumentError("grid must contain at least one node")
         if np.any(np.diff(self.nodes) <= 0):

@@ -340,6 +340,8 @@ def estimate_rate(times: np.ndarray, values: np.ndarray,
     values = np.asarray(values, dtype=float)
     if times.shape != values.shape or times.ndim != 1:
         raise InvalidArgumentError("times and values must be 1-d and equal length")
+    if not (np.isfinite(times).all() and np.isfinite(values).all()):
+        raise InvalidArgumentError("times and values must be finite")
     if window is None:
         positive = values > 0
         if not positive.any():

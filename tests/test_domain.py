@@ -32,6 +32,10 @@ def _grid(nodes, weights):
 BAD_DOMAIN_INPUTS = [
     pytest.param(lambda: _grid([0.25, 0.75], [1.0]),
                  "nodes and weights must be 1-d and equal length", id="grid-shape"),
+    pytest.param(lambda: _grid([0.25, np.nan], [0.5, 0.5]),
+                 "nodes and weights must be finite", id="grid-node-nan"),
+    pytest.param(lambda: _grid([0.25, 0.75], [0.5, np.nan]),
+                 "nodes and weights must be finite", id="grid-weight-nan"),
     pytest.param(lambda: _grid([], []), "grid must contain at least one node",
                  id="grid-empty"),
     pytest.param(lambda: _grid([0.75, 0.25], [0.5, 0.5]),

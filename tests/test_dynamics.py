@@ -210,6 +210,12 @@ BAD_DYNAMICS_INPUTS = [
     pytest.param(lambda: estimate_rate(np.linspace(0.0, 1.0, 11), np.ones(10)),
                  InvalidArgumentError,
                  "times and values must be 1-d and equal length", id="rate-shape"),
+    pytest.param(lambda: estimate_rate(np.linspace(0.0, 1.0, 3), [1.0, 2.0, np.inf]),
+                 InvalidArgumentError, "times and values must be finite",
+                 id="rate-value-inf"),
+    pytest.param(lambda: estimate_rate([0.0, np.nan, 1.0], np.ones(3)),
+                 InvalidArgumentError, "times and values must be finite",
+                 id="rate-time-nan"),
     pytest.param(lambda: estimate_rate(np.linspace(0.0, 1.0, 11), np.zeros(11)),
                  InvalidWindowError, "series has no positive values",
                  id="rate-no-positive"),

@@ -219,8 +219,8 @@ def _persistence_n64(d_S):
 class TestTwoSidedDriver:
     def test_disagreeing_limits_raise(self, two_cell_K, monkeypatch):
         # on constants the two-cell dispersal is -0.5 u, so the constant
-        # states solve -u (u - 1)(u - 2)(u - 3) = 0: the upward iteration
-        # stops at 1 and the downward one at 3
+        # states solve -u (u - 1)(u - 2)(u - 3) = 0: the downward iteration
+        # stops at 3, and the upward one at 1, where no node rises any more
         def reaction(u):
             return 0.5 * u - u * (u - 1.0) * (u - 2.0) * (u - 3.0)
 
@@ -232,11 +232,11 @@ class TestTwoSidedDriver:
             equilibrium._two_sided_solve(two_cell_K, 1.0, reaction, slope, 60.0,
                                          np.full(2, 0.5), np.full(2, 4.0))
         # the runner reports the gap and the steps of both sides: one F per
-        # step of either side, after F at the lower end (dense Newton solves
-        # make no product)
+        # step of either side, F at the lower end serving the first relaxed
+        # step, and none after the last (dense Newton solves make no product)
         assert isinstance(info.value, SolverInconsistency)
         assert info.value.residual == pytest.approx(2.0, abs=1e-9)
-        assert info.value.iterations == calls.total - 1
+        assert info.value.iterations == calls.total
 
     def test_lower_end_that_is_no_subsolution_fails_at_once(self, two_cell_K):
         # F(sub) > 0 at the first node and < 0 at the second
@@ -276,8 +276,9 @@ class TestTwoSidedDriver:
         monkeypatch.setattr(equilibrium, "NEWTON_CAP", 1)
         with pytest.raises(SolverFailure, match="Newton") as info:
             solve_endemic(K, params, beta, gamma, dfe)
+        # on constants F(I) = I - I^2: one Newton step from 2 lands on 4/3
         assert info.value.iterations == 1
-        assert info.value.residual > equilibrium.RESIDUAL_TARGET
+        assert info.value.residual == pytest.approx(4.0 / 9.0)
 
     def test_failing_newton_side_stops_the_solve_at_once(self, monkeypatch):
         # Newton runs first, so the capped Newton pass raises before the
@@ -299,26 +300,48 @@ class TestTwoSidedDriver:
                 two_cell_K, 1.0, lambda u: 1.5 * u - u * u,
                 lambda u: np.full(2, 0.5), 5.0, np.full(2, 0.1),
                 np.full(2, 1.5))
+        # |F(1.5)| on constants, where F(u) = u - u^2
         assert info.value.iterations == 0
-        assert info.value.residual > equilibrium.RESIDUAL_TARGET
+        assert info.value.residual == pytest.approx(0.75)
 
-    def test_stalled_relaxed_pass_reports_diagnostics(self, two_cell_K):
-        # on constants F(u) = u - u^2, so F(0.5) = 0.25 and the first
-        # relaxed step 0.25 / rho is below STALL_STEP
-        with pytest.raises(SolverFailure, match="stalled") as info:
+    def test_stalled_relaxed_pass_reports_diagnostics(self, two_cell_K,
+                                                      monkeypatch):
+        # on constants F(u) = u - u^2, so F(0.5) = 0.25, and the first
+        # relaxed step 0.25 / rho is below half an ulp of 0.5: no node
+        # rises, the pass stops there, and its limit 0.5 disagrees with the
+        # Newton limit 1
+        assert 0.5 + 0.25 / 1e17 == 0.5
+        calls = self._count_matvecs(two_cell_K, monkeypatch)
+        with pytest.raises(UniquenessViolation, match="disagree") as info:
             equilibrium._two_sided_solve(
                 two_cell_K, 1.0, lambda u: 1.5 * u - u * u,
-                lambda u: 1.5 - 2.0 * u, 1e14, np.full(2, 0.5),
+                lambda u: 1.5 - 2.0 * u, 1e17, np.full(2, 0.5),
                 np.full(2, 1.5))
-        assert 0.25 / 1e14 < equilibrium.STALL_STEP
-        assert info.value.iterations == 1
-        assert info.value.residual == pytest.approx(0.25)
+        assert info.value.residual == pytest.approx(0.5, abs=1e-10)
+        # the Newton steps and the one relaxed step
+        assert info.value.iterations == calls.total
+
+    def test_relaxed_cap_reports_the_gap(self, two_cell_K, monkeypatch):
+        # on constants F(u) = u - u^2 and the Newton limit is 1, so after
+        # three relaxed steps the gap is 1 - lo
+        monkeypatch.setattr(equilibrium, "ITERATION_CAP", 3)
+        with pytest.raises(SolverFailure, match="iteration cap") as info:
+            equilibrium._two_sided_solve(
+                two_cell_K, 1.0, lambda u: 1.5 * u - u * u,
+                lambda u: 1.5 - 2.0 * u, 5.0, np.full(2, 0.5),
+                np.full(2, 1.5))
+        lo = 0.5
+        for _ in range(3):
+            lo += (lo - lo * lo) / 5.0
+        assert info.value.iterations == 3
+        assert info.value.residual == pytest.approx(1.0 - lo, abs=1e-10)
 
     def test_crossing_limits_raise(self, two_cell_K, monkeypatch):
         # on constants F(u) = -(u - 1)(u - 2)(u - 3) exp(-1.5 u): F is flat
         # at high = 4, so the first Newton step lands on the root 1, and the
         # relaxed map with a rho far too small is not order-preserving: its
-        # first step from 0.5 overshoots to high, and it descends to 3
+        # first step from 0.5 overshoots to high, 3 above the Newton limit,
+        # where the gap is negative and the pass stops
         def reaction(u):
             return 0.5 * u - (u - 1.0) * (u - 2.0) * (u - 3.0) * np.exp(-1.5 * u)
 
@@ -330,8 +353,8 @@ class TestTwoSidedDriver:
         with pytest.raises(UniquenessViolation, match="crossed") as info:
             equilibrium._two_sided_solve(two_cell_K, 1.0, reaction, slope, 0.1,
                                          np.full(2, 0.5), np.full(2, 4.0))
-        assert info.value.residual == pytest.approx(2.0, abs=1e-8)
-        assert info.value.iterations == calls.total - 1
+        assert info.value.residual == pytest.approx(3.0, abs=1e-8)
+        assert info.value.iterations == calls.total
 
     def test_nan_certified_residual_is_caught(self, endemic_setup, monkeypatch):
         grid, K, beta, gamma, lam, params = endemic_setup
@@ -366,9 +389,9 @@ class TestTwoSidedDriver:
         pair = solve_endemic(two_cell_K, ModelParams(1.0, 1.0),
                              np.full(2, 1.05), np.full(2, 0.5), dfe)
         assert pair.iterations >= 1000
-        # growth-rate residual and one residual test per starting point;
-        # a dense Newton solve makes no product
-        assert calls.total <= pair.iterations + 3
+        # the growth-rate residual, then one F per step of either side; a
+        # dense Newton solve makes no product
+        assert calls.total == pair.iterations + 1
 
     def test_one_dispersal_product_per_logistic_step(self, two_cell_K,
                                                      monkeypatch):
@@ -378,7 +401,7 @@ class TestTwoSidedDriver:
         res = solve_logistic_stationary(two_cell_K, 1.0, np.full(2, 0.52),
                                         np.ones(2))
         assert res.iterations >= 1000
-        assert calls.total <= res.iterations + 3
+        assert calls.total == res.iterations + 1
 
 
 class TestEndemic:
@@ -442,6 +465,23 @@ class TestEndemic:
             assert pair.bracket_gap <= 1e-8
             assert pair.monotone_defect <= 1e-12
             done += 1
+
+    @pytest.mark.parametrize("delta", [1e-6, 1e-7])
+    def test_near_threshold_fails_at_the_cap(self, delta, monkeypatch):
+        # the persistence-n64 benchmark instance at d_I = (1 - delta) d*:
+        # the residual at the subsolution is already tiny, yet the lower pass
+        # is still about 11 delta below the Newton limit, so it runs on the
+        # gap to its cap and reports the gap, not a false UniquenessViolation
+        K, beta, dfe = _persistence_n64(d_S=1.0)
+        gamma = np.full(64, 0.9)
+        d_I = (1.0 - delta) * spectral.critical_dispersal_rate(
+            K, beta, gamma).d_critical
+        monkeypatch.setattr(equilibrium, "ITERATION_CAP", 5_000)
+        with pytest.raises(SolverFailure, match="iteration cap") as info:
+            solve_endemic(K, ModelParams(d_S=1.0, d_I=d_I), beta, gamma, dfe)
+        assert info.value.iterations == 5_000
+        # the gap: above AGREEMENT_TOL, below the bracket's top max(dfe) / d_I
+        assert equilibrium.AGREEMENT_TOL < info.value.residual < np.max(dfe) / d_I
 
     @pytest.mark.xfail(strict=True, raises=SolverFailure, reason=(
         "ROADMAP item 2: the loose relaxation constant (rho ~ 4512 here) "
